@@ -612,10 +612,11 @@ int cmd_batch(int argc, char** argv) {
               report.breaker_trips, report.watchdog_fires);
   std::printf("throughput: schedule %s, input cache %lld hit(s) / %lld "
               "miss(es), %lld shared rate hit(s), %lld engine reuse(s), "
-              "setup %.3f s\n",
+              "setup %.3f s, worker imbalance %.2f\n",
               svc::to_string(report.schedule), report.input_cache_hits,
               report.input_cache_misses, report.rate_cache_shared_hits,
-              report.engine_reuses, report.setup_s);
+              report.engine_reuses, report.setup_s,
+              report.worker_imbalance());
   if (report.resumed) {
     std::printf("resume: %d commit(s) verified+skipped, %d failure(s) "
                 "replayed, %d artifact(s) quarantined, %d re-executed%s\n",

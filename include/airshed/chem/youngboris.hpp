@@ -37,7 +37,6 @@ struct YoungBorisOptions {
   double dt_max_min = 2.0;        ///< largest allowed substep
   int max_corrector_iters = 12;
   double stiff_threshold = 1.0;   ///< species stiff when L_i * h > threshold
-  double grow = 1.15;             ///< substep growth on easy convergence
   double shrink = 0.7;            ///< substep reduction on failed convergence
 
   /// Accuracy controller (the essential Young-Boris step selection): the

@@ -51,11 +51,11 @@ struct ExecutionConfig {
   /// configuration without a fault layer. Node-failure injection requires
   /// Strategy::DataParallel (straggler and message-drop injection work
   /// under both strategies).
-  FaultPlan faults;
+  FaultPlan faults{};
   /// Checkpointing policy; consulted only when `faults` enables failures.
-  CheckpointPolicy checkpoint;
+  CheckpointPolicy checkpoint{};
   /// Retransmission backoff for injected message drops.
-  RetryPolicy retry;
+  RetryPolicy retry{};
 
   /// Host worker threads evaluating the per-hour virtual-node costs
   /// (simulated hours are independent given a node set, so they evaluate

@@ -75,6 +75,11 @@ std::vector<ScenarioSpec> make_job_mix(std::uint64_t batch_seed,
 /// Throws ConfigError for an unknown dataset name or malformed city spec.
 DatasetSpec scenario_dataset_spec(const ScenarioSpec& spec);
 
+/// scenario_dataset_spec(spec).target_points without generating a city:
+/// the mesh-size half of the supervisor's per-attempt work proxy. Throws
+/// like scenario_dataset_spec.
+std::size_t scenario_target_points(const ScenarioSpec& spec);
+
 /// Builds the scenario's multiscale dataset. When `poison_stack` is set, a
 /// corrupt elevated point source (infinite emission rate) is appended — the
 /// supervisor's numerics-fault injection, caught by the SoA block-commit

@@ -12,10 +12,12 @@
 // arXiv:1109.5201).
 //
 // Determinism contract: execution is round-structured. Each round runs one
-// attempt for every dispatchable scenario under a pool barrier; retry /
-// degrade / quarantine / breaker decisions are then taken serially in
-// scenario-id order. Every injected fault, backoff jitter, straggler
-// factor and death hour is pure in (batch_seed, scenario_id, attempt) —
+// attempt for every dispatchable scenario under a pool barrier, placed on
+// workers longest-expected-first (place_attempts: it moves wall clock
+// only); retry / degrade / quarantine / breaker decisions are then taken
+// serially in scenario-id order. Every injected fault, backoff jitter,
+// straggler factor and death hour is pure in (batch_seed, scenario_id,
+// attempt) —
 // so the batch report (BatchReport::canonical_json) is bit-identical at
 // every thread count, including which scenarios were degraded or
 // quarantined and when the breaker tripped.
@@ -118,7 +120,8 @@ struct ChaosOptions {
 /// Dispatch-order policy for the per-round runnable set. Only observable
 /// when max_in_flight caps a round: every runnable scenario still runs
 /// every round otherwise, and outcomes are schedule-independent either
-/// way (decisions stay pure per scenario).
+/// way (decisions stay pure per scenario). The schedule decides WHICH
+/// attempts a round runs; which worker runs each is place_attempts' job.
 enum class Schedule {
   /// Dispatch in scenario-id order (the historical policy).
   Fifo,
@@ -288,6 +291,13 @@ struct BatchReport {
   long long rate_cache_shared_hits = 0;  ///< frozen-table rate lookups
   long long engine_reuses = 0;  ///< attempts that reused a warm engine
   double setup_s = 0.0;  ///< wall seconds in dataset build + solver setup
+  /// CPU seconds each pool worker spent running attempts (index = pool
+  /// thread). Depends on the thread count and the machine, so it stays
+  /// out of canonical_json like the counters above.
+  std::vector<double> worker_busy_s;
+
+  /// Busiest worker over the mean worker (>= 1; 1 when nothing ran).
+  double worker_imbalance() const;
 
   std::vector<ScenarioResult> results;  ///< scenario-id order
   std::vector<BreakerEvent> breaker_events;
@@ -328,6 +338,24 @@ double backoff_ms(std::uint64_t batch_seed, int scenario_id, int attempt,
 
 /// Bit-exact digest over a run's final fields (conc then pm, raw bytes).
 std::uint64_t field_digest(const RunOutputs& outputs);
+
+/// One attempt of a round, as the worker placement sees it.
+struct PlacementItem {
+  int scenario_id = 0;
+  /// Expected work: episode hours x grid size (the fine attempt's target
+  /// mesh points, or the degraded grid's nx x ny cells).
+  double cost = 0.0;
+};
+
+/// Longest-expected-first (LPT) placement of one round's attempts onto
+/// `workers` fixed-ownership buckets: items are taken in (cost descending,
+/// scenario id ascending) order and each goes to the bucket with the least
+/// placed cost — ties to the bucket holding fewer items, then to the lowest
+/// index, so zero-cost items still spread. Returns exactly `workers`
+/// buckets of indices into `items`, each in placement order; with fewer
+/// items than workers the trailing buckets are empty.
+std::vector<std::vector<std::size_t>> place_attempts(
+    const std::vector<PlacementItem>& items, int workers);
 
 /// Publishes the report's counts into `reg` under the "svc/" namespace.
 void record_metrics(obs::MetricsRegistry& reg, const BatchReport& report);

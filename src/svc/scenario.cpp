@@ -95,6 +95,13 @@ DatasetSpec scenario_dataset_spec(const ScenarioSpec& spec) {
                     " (expected TEST, LA, NE or a city:... spec)");
 }
 
+std::size_t scenario_target_points(const ScenarioSpec& spec) {
+  if (city::is_city_spec(spec.dataset)) {
+    return city::parse_city_spec(spec.dataset).target_points;
+  }
+  return scenario_dataset_spec(spec).target_points;
+}
+
 Dataset build_scenario_dataset(const ScenarioSpec& spec, bool poison_stack,
                                SharedInputCache* cache) {
   DatasetSpec ds = scenario_dataset_spec(spec);

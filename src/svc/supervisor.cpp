@@ -126,6 +126,32 @@ std::uint64_t field_digest(const RunOutputs& outputs) {
   return fnv1a_bytes(double_bytes(outputs.pm.flat()), h);
 }
 
+std::vector<std::vector<std::size_t>> place_attempts(
+    const std::vector<PlacementItem>& items, int workers) {
+  AIRSHED_REQUIRE(workers >= 1, "place_attempts: workers must be >= 1");
+  std::vector<std::size_t> order(items.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (items[a].cost != items[b].cost) return items[a].cost > items[b].cost;
+    return items[a].scenario_id < items[b].scenario_id;
+  });
+  const std::size_t nb = static_cast<std::size_t>(workers);
+  std::vector<std::vector<std::size_t>> buckets(nb);
+  std::vector<double> load(nb, 0.0);
+  for (std::size_t i : order) {
+    std::size_t best = 0;
+    for (std::size_t b = 1; b < nb; ++b) {
+      if (load[b] < load[best] ||
+          (load[b] == load[best] && buckets[b].size() < buckets[best].size())) {
+        best = b;
+      }
+    }
+    buckets[best].push_back(i);
+    load[best] += items[i].cost;
+  }
+  return buckets;
+}
+
 void record_metrics(obs::MetricsRegistry& reg, const BatchReport& report) {
   const auto set = [&reg](const char* name, long long v, const char* help) {
     reg.counter(name, help).inc(v);
@@ -179,6 +205,16 @@ void record_metrics(obs::MetricsRegistry& reg, const BatchReport& report) {
       "attempts that reused a warm resident engine");
   reg.gauge("svc/setup_s", "wall seconds in dataset build + solver setup")
       .set(report.setup_s);
+  const double busy_max =
+      report.worker_busy_s.empty()
+          ? 0.0
+          : *std::max_element(report.worker_busy_s.begin(),
+                              report.worker_busy_s.end());
+  reg.gauge("svc/worker_busy_max_s",
+            "CPU seconds of the busiest worker running attempts")
+      .set(busy_max);
+  reg.gauge("svc/worker_imbalance", "busiest worker / mean worker busy time")
+      .set(report.worker_imbalance());
   obs::Histogram& wait = reg.histogram(
       "svc/queue_wait_rounds", {0.0, 1.0, 2.0, 4.0, 8.0},
       "rounds each attempt waited after becoming dispatchable");
@@ -187,6 +223,15 @@ void record_metrics(obs::MetricsRegistry& reg, const BatchReport& report) {
       wait.observe(static_cast<double>(a.wait_rounds));
     }
   }
+}
+
+double BatchReport::worker_imbalance() const {
+  if (worker_busy_s.empty()) return 1.0;
+  const double sum =
+      std::accumulate(worker_busy_s.begin(), worker_busy_s.end(), 0.0);
+  if (sum <= 0.0) return 1.0;
+  const double mean = sum / static_cast<double>(worker_busy_s.size());
+  return *std::max_element(worker_busy_s.begin(), worker_busy_s.end()) / mean;
 }
 
 obs::JsonWriter BatchReport::canonical_json() const {
@@ -759,24 +804,40 @@ BatchReport BatchSupervisor::run(const std::vector<ScenarioSpec>& specs) {
   report.rounds = start_round;
   for (std::size_t i : pending) slots[i].ready_round = start_round;
 
-  // Fair-share schedule precompute: a deterministic work proxy (requested
-  // hours x the dataset's target mesh size — both known before any build)
-  // and a fair-share group per distinct dataset name, numbered by first
-  // appearance in spec order so the interleave is input-order-stable.
+  // A deterministic work proxy per scenario — requested hours x grid size,
+  // both known before any build — feeds worker placement on every
+  // schedule: the dataset's target mesh points for a fine attempt, the
+  // coarse grid's cells for a degrade attempt. A dataset that fails to
+  // resolve gets no fine-grid work; its attempt reports the error itself.
+  // The fair schedule also needs a group per distinct dataset name,
+  // numbered by first appearance in spec order so the interleave is
+  // input-order-stable.
   std::vector<double> expected_work(slots.size(), 0.0);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const ScenarioSpec& s = slots[i].spec;
+    try {
+      expected_work[i] = static_cast<double>(s.hours) *
+                         static_cast<double>(scenario_target_points(s));
+    } catch (const ConfigError&) {
+    }
+  }
+  const double degraded_cells =
+      static_cast<double>(o.degrade_nx) * static_cast<double>(o.degrade_ny);
+  const auto attempt_work = [&](std::size_t idx) {
+    const Slot& s = slots[idx];
+    return s.degrade_mode ? static_cast<double>(s.spec.hours) * degraded_cells
+                          : expected_work[idx];
+  };
   std::vector<std::size_t> ds_group(slots.size(), 0);
   std::size_t n_groups = 0;
   if (o.schedule == Schedule::Fair) {
     std::vector<std::string> group_names;
     for (std::size_t i = 0; i < slots.size(); ++i) {
-      const ScenarioSpec& s = slots[i].spec;
-      expected_work[i] =
-          static_cast<double>(s.hours) *
-          static_cast<double>(scenario_dataset_spec(s).target_points);
+      const std::string& dataset = slots[i].spec.dataset;
       const auto it =
-          std::find(group_names.begin(), group_names.end(), s.dataset);
+          std::find(group_names.begin(), group_names.end(), dataset);
       ds_group[i] = static_cast<std::size_t>(it - group_names.begin());
-      if (it == group_names.end()) group_names.push_back(s.dataset);
+      if (it == group_names.end()) group_names.push_back(dataset);
     }
     n_groups = group_names.size();
   }
@@ -859,14 +920,30 @@ BatchReport BatchSupervisor::run(const std::vector<ScenarioSpec>& specs) {
       }
     }
 
+    // Worker placement: longest expected work first onto the least-loaded
+    // worker, bucket t on pool thread t. Pure in (runnable set, threads),
+    // and outcomes never depend on the thread an attempt ran on.
+    std::vector<PlacementItem> items;
+    items.reserve(runnable.size());
+    for (std::size_t idx : runnable) {
+      items.push_back({slots[idx].spec.id, attempt_work(idx)});
+    }
+    const std::vector<std::vector<std::size_t>> buckets =
+        place_attempts(items, pool.threads());
     // Resident warm round: exactly one attempt — the schedule's head — gets
     // the capture handle; the table freezes behind this round's barrier, so
     // every later round reads an immutable table.
     const bool warm_round = o.resident && !rate_table.frozen();
     pool.set_phase("svc attempt", PhaseCategory::Recovery, round);
-    pool.for_each(runnable.size(), [&](int t, std::size_t i) {
-      run_attempt(slots[runnable[i]], t, warm_round && i == 0);
-    });
+    pool.for_blocks(buckets.size(),
+                    [&](int t, std::size_t begin, std::size_t end) {
+                      for (std::size_t b = begin; b < end; ++b) {
+                        for (std::size_t k : buckets[b]) {
+                          run_attempt(slots[runnable[k]], t,
+                                      warm_round && k == 0);
+                        }
+                      }
+                    });
     if (warm_round) rate_table.freeze();
 
     // Serial decision pass in scenario-id order: breaker accounting and
@@ -1018,6 +1095,7 @@ BatchReport BatchSupervisor::run(const std::vector<ScenarioSpec>& specs) {
   report.input_cache_hits = input_cache.hits();
   report.input_cache_misses = input_cache.misses();
   for (const ResidentEngine& e : engines) report.engine_reuses += e.reuses();
+  report.worker_busy_s = pool.busy_seconds();
 
   report.results.reserve(slots.size());
   for (Slot& slot : slots) report.results.push_back(std::move(slot.result));

@@ -160,6 +160,109 @@ TEST(Decisions, PureInSeedScenarioAttempt) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Worker placement: longest-expected-first onto the least-loaded bucket.
+// ---------------------------------------------------------------------------
+
+using svc::PlacementItem;
+using Buckets = std::vector<std::vector<std::size_t>>;
+
+/// Summed item cost per bucket.
+std::vector<double> bucket_loads(const std::vector<PlacementItem>& items,
+                                 const Buckets& buckets) {
+  std::vector<double> loads;
+  for (const auto& b : buckets) {
+    double sum = 0.0;
+    for (std::size_t i : b) sum += items[i].cost;
+    loads.push_back(sum);
+  }
+  return loads;
+}
+
+TEST(Placement, PureAndEveryItemPlacedOnce) {
+  const std::vector<PlacementItem> items = {
+      {0, 3.0}, {1, 7.0}, {2, 2.0}, {3, 7.0}, {4, 5.0}, {5, 1.0}, {6, 4.0}};
+  const Buckets a = svc::place_attempts(items, 3);
+  EXPECT_EQ(a, svc::place_attempts(items, 3));
+  ASSERT_EQ(a.size(), 3u);
+  std::vector<int> seen(items.size(), 0);
+  for (const auto& b : a) {
+    for (std::size_t i : b) ++seen[i];
+  }
+  EXPECT_EQ(seen, std::vector<int>(items.size(), 1));
+  // Costs 7 (id 1), 7 (id 3), 5 open the three buckets; 4 joins the 5,
+  // 3 joins bucket 0 and 2 joins bucket 1. The last item finds buckets 1
+  // and 2 tied at load 9 with two items each, so the lower index wins.
+  EXPECT_EQ(a, (Buckets{{1, 0}, {3, 2, 5}, {4, 6}}));
+  EXPECT_EQ(bucket_loads(items, a), (std::vector<double>{10.0, 10.0, 9.0}));
+}
+
+TEST(Placement, TiesBreakByScenarioIdThenFewestItemsThenLowestIndex) {
+  // Equal costs: taken in scenario-id order (not input order), one per
+  // bucket, lowest bucket index first.
+  const std::vector<PlacementItem> items = {{9, 2.0}, {4, 2.0}, {6, 2.0}};
+  EXPECT_EQ(svc::place_attempts(items, 3), (Buckets{{1}, {2}, {0}}));
+  // Equal loads with unequal item counts: the bucket holding fewer items
+  // takes the next one, even at a higher index.
+  const std::vector<PlacementItem> uneven = {
+      {0, 4.0}, {1, 2.0}, {2, 2.0}, {3, 1.0}};
+  // 4 -> b0; 2 -> b1; 2 -> b1 (load 2 < 4); b0 and b1 now both load 4 with
+  // 1 and 2 items, so the last item goes to b0.
+  EXPECT_EQ(svc::place_attempts(uneven, 2), (Buckets{{0, 3}, {1, 2}}));
+}
+
+TEST(Placement, FewerItemsThanWorkersLeavesTrailingBucketsEmpty) {
+  const std::vector<PlacementItem> items = {{0, 1.0}, {1, 8.0}};
+  const Buckets b = svc::place_attempts(items, 4);
+  EXPECT_EQ(b, (Buckets{{1}, {0}, {}, {}}));
+  EXPECT_EQ(svc::place_attempts({}, 3), (Buckets{{}, {}, {}}));
+  EXPECT_EQ(svc::place_attempts(items, 1), (Buckets{{1, 0}}));
+  EXPECT_THROW(svc::place_attempts(items, 0), Error);
+}
+
+TEST(Placement, ZeroCostsStillSpreadAcrossWorkers) {
+  std::vector<PlacementItem> items;
+  for (int id = 0; id < 8; ++id) items.push_back({id, 0.0});
+  const Buckets b = svc::place_attempts(items, 4);
+  EXPECT_EQ(b, (Buckets{{0, 4}, {1, 5}, {2, 6}, {3, 7}}));
+}
+
+/// Golden case: the reference batch's seed-1998 job mix (32 TEST scenarios,
+/// 2-8 h, 119 model-hours) on 4 workers. The contiguous split it replaces
+/// gave 38/24/26/31 hours.
+TEST(Placement, SeedMixBalancesModelHours) {
+  const auto specs = svc::make_job_mix(1998);
+  ASSERT_EQ(specs.size(), 32u);
+  std::vector<PlacementItem> items;
+  int total = 0;
+  for (const ScenarioSpec& s : specs) {
+    items.push_back({s.id, static_cast<double>(s.hours) *
+                               static_cast<double>(
+                                   svc::scenario_target_points(s))});
+    total += s.hours;
+  }
+  EXPECT_EQ(total, 119);
+
+  const auto hours_of = [&](const Buckets& buckets) {
+    std::vector<int> h;
+    for (const auto& b : buckets) {
+      int sum = 0;
+      for (std::size_t i : b) sum += specs[i].hours;
+      h.push_back(sum);
+    }
+    return h;
+  };
+  Buckets contiguous(4);
+  for (std::size_t t = 0; t < 4; ++t) {
+    for (std::size_t i = 32 * t / 4; i < 32 * (t + 1) / 4; ++i) {
+      contiguous[t].push_back(i);
+    }
+  }
+  EXPECT_EQ(hours_of(contiguous), (std::vector<int>{38, 24, 26, 31}));
+  EXPECT_EQ(hours_of(svc::place_attempts(items, 4)),
+            (std::vector<int>{30, 30, 30, 29}));
+}
+
 ChaosOptions full_chaos() {
   ChaosOptions chaos;
   chaos.node_death = 0.15;
@@ -449,6 +552,55 @@ TEST_F(SvcDir, MetricsPublishTheReportCounts) {
   EXPECT_EQ(registry.counter("svc/scenario_faults").value(),
             report.scenario_faults);
   EXPECT_GT(report.scenario_faults, 0);  // the poisoned scenario
+}
+
+/// Per-worker busy seconds are published as gauges but never reach the
+/// canonical report, which stays byte-identical to a 1-thread run.
+TEST_F(SvcDir, WorkerBusyGaugesStayOutOfTheCanonicalReport) {
+  const auto specs = svc::make_job_mix(7, tiny_mix(4));
+  BatchOptions opts;
+  opts.batch_seed = 7;
+  opts.threads = 2;
+  opts.archive_dir = path("t2");
+  obs::MetricsRegistry registry;
+  opts.metrics = &registry;
+  BatchReport report = BatchSupervisor(opts).run(specs);
+
+  ASSERT_EQ(report.worker_busy_s.size(), 2u);
+  const double busy_max = std::max(report.worker_busy_s[0],
+                                   report.worker_busy_s[1]);
+  EXPECT_GT(busy_max, 0.0);
+  EXPECT_GE(report.worker_imbalance(), 1.0);
+  EXPECT_DOUBLE_EQ(registry.gauge("svc/worker_busy_max_s").value(), busy_max);
+  EXPECT_DOUBLE_EQ(registry.gauge("svc/worker_imbalance").value(),
+                   report.worker_imbalance());
+
+  const std::string canonical = report.canonical_json().str();
+  report.worker_busy_s = {123.0, 0.5};
+  EXPECT_EQ(report.canonical_json().str(), canonical);
+
+  opts.threads = 1;
+  opts.archive_dir = path("t1");
+  opts.metrics = nullptr;
+  const BatchReport serial = BatchSupervisor(opts).run(specs);
+  ASSERT_EQ(serial.worker_busy_s.size(), 1u);
+  EXPECT_DOUBLE_EQ(serial.worker_imbalance(), 1.0);
+  EXPECT_EQ(serial.canonical_json().str(), canonical);
+}
+
+/// The placement's work proxy resolves every spec up front; a dataset name
+/// that does not resolve must still fail only its own scenario.
+TEST_F(SvcDir, UnknownDatasetIsQuarantinedNotFatal) {
+  auto specs = svc::make_job_mix(5, tiny_mix(2));
+  specs[1].dataset = "NOWHERE";
+  BatchOptions opts;
+  opts.batch_seed = 5;
+  opts.threads = 2;
+  const BatchReport report = BatchSupervisor(opts).run(specs);
+  EXPECT_EQ(report.results[0].status, ScenarioStatus::Ok);
+  EXPECT_EQ(report.results[1].status, ScenarioStatus::Quarantined);
+  EXPECT_NE(report.results[1].quarantine_reason.find("NOWHERE"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
