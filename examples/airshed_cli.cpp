@@ -386,21 +386,6 @@ int cmd_verify(int argc, char** argv) {
 }
 
 int verify_one(const std::string& path) {
-  if (!durable::looks_like_container(path)) {
-    // Legacy text work traces predate the framed format; validate them by
-    // loading through the trace reader.
-    try {
-      const WorkTrace t = WorkTrace::load(path);
-      std::printf("%s: legacy text work trace — dataset %s, %zu hours "
-                  "(intact; re-save to upgrade to the framed format)\n",
-                  path.c_str(), t.dataset.c_str(), t.hours.size());
-      return 0;
-    } catch (const Error& e) {
-      std::fprintf(stderr, "%s: CORRUPT — %s\n", path.c_str(), e.what());
-      return 1;
-    }
-  }
-
   try {
     const durable::ContainerReader c = durable::ContainerReader::read_file(path);
     std::printf("%s: %s v%u — %zu sections, footer digest %016llx\n",

@@ -10,10 +10,12 @@
 //     CALL outputhour(A)
 //   ENDDO
 //
-// This class runs the physics sequentially (the numerics are identical on
-// any machine) and records the WorkTrace that the parallel executor replays
-// on simulated machines. It also produces the scientific outputs (hourly
-// statistics, final fields) used by the example applications.
+// This class runs the physics on a host worker pool through the blocked SoA
+// kernels (the numerics are identical for every thread count and block
+// size) and records the WorkTrace that the parallel executor replays on
+// simulated machines. It also produces the scientific outputs (hourly
+// statistics, final fields) used by the example applications. The uniform
+// grid variant (uniform_model.hpp) runs the same hour loop.
 #pragma once
 
 #include <functional>
@@ -28,6 +30,10 @@
 #include "airshed/obs/trace.hpp"
 
 namespace airshed {
+
+namespace detail {
+class MultiscaleBinding;
+}
 
 /// Wall/CPU profile of one model run's host-parallel execution (filled
 /// when ModelOptions::profile points at an instance; purely observational,
@@ -86,7 +92,7 @@ class ResidentEngine {
   long long reuses() const;
 
  private:
-  friend class AirshedModel;
+  friend class detail::MultiscaleBinding;
   struct State;
   std::unique_ptr<State> state_;
 };
@@ -108,13 +114,16 @@ struct ModelOptions {
   /// a 1-core host — see EXPERIMENTS.md). Results are bit-identical either
   /// way; set true to force the requested count (e.g. scheduler tests).
   bool oversubscribe = false;
-  /// Cell-batched SoA kernel engine (airshed::kernel): blocked chemistry,
-  /// vertical diffusion, and transport. Bit-identical to the scalar path
-  /// at every block size and thread count; kernel.blocked = false selects
-  /// the scalar reference oracle.
+  /// Knobs of the cell-batched SoA kernels (airshed::kernel) that run the
+  /// chemistry, vertical diffusion and transport. In LaneMode::strict the
+  /// results are bit-identical to the scalar reference kernels at every
+  /// block size and thread count (tests/kernel_test.cpp checks each kernel,
+  /// tests/integration_test.cpp the whole hour).
   kernel::KernelOptions kernel;
   /// Optional warm-state engine (see ResidentEngine). Results are
-  /// bit-identical with or without one.
+  /// bit-identical with or without one. Only AirshedModel uses it: the
+  /// engine is keyed on the multiscale DatasetBase, so UniformAirshedModel
+  /// ignores this field and builds run-local per-thread state.
   ResidentEngine* engine = nullptr;
   /// Optional frozen batch-scoped rate table consulted before the private
   /// per-solver cache (see chem SharedRateTable; bit-identical either way).
@@ -155,7 +164,7 @@ using HourCallback =
 /// from it bit for bit.
 using CheckpointCallback = std::function<void(const CheckpointRecord&)>;
 
-/// Sequential Airshed model bound to one dataset.
+/// The multiscale Airshed model bound to one dataset.
 class AirshedModel {
  public:
   explicit AirshedModel(const Dataset& dataset, ModelOptions opts = {});

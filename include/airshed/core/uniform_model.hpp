@@ -8,6 +8,12 @@
 // means far more chemistry (Lcz) evaluations — the efficiency-vs-speedup
 // trade the paper discusses.
 //
+// UniformAirshedModel runs the same Fig 1 hour loop as AirshedModel (one
+// implementation, bound to this grid's transport operator, hourly inputs
+// and outputhour statistics), so it honours the same ModelOptions except
+// `engine`, which is keyed on the multiscale dataset base: a uniform run
+// always builds run-local per-thread solver state.
+//
 // The run produces a standard WorkTrace whose transport_row_parallelism
 // records the extra within-layer parallelism; the executor divides the
 // transport phase accordingly.

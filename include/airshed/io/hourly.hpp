@@ -10,6 +10,8 @@
 // data-parallel executor runs them on one node.
 #pragma once
 
+#include <functional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -23,15 +25,16 @@ namespace airshed {
 struct HourlyInputs {
   int hour = 0;
 
-  std::vector<std::vector<Point2>> wind_kmh;  ///< [layer][vertex]
+  std::vector<std::vector<Point2>> wind_kmh;  ///< [layer][grid point]
   double kh_km2h = 0.0;
   std::vector<double> kz_m2s;        ///< layers-1 interior interface values
   std::vector<double> layer_temp_k;  ///< domain-mean temperature per layer
-  std::vector<double> vertex_temp_k; ///< surface temperature per vertex
+  /// Surface temperature per grid point (mesh vertex or uniform cell).
+  std::vector<double> vertex_temp_k;
 
-  /// Surface emission flux (species, vertex) in ppm*m/min, mid-hour.
+  /// Surface emission flux (species, point) in ppm*m/min, mid-hour.
   Array2<double> surface_flux;
-  /// Elevated stack flux per affected vertex: vertex -> species*layers flat
+  /// Elevated stack flux per affected point: point -> species*layers flat
   /// array (ppm*m/min).
   std::unordered_map<std::size_t, std::vector<double>> elevated_flux;
 
@@ -77,6 +80,20 @@ class InputGenerator {
   TransportOptions transport_opts_;
   IoWorkModel work_;
 };
+
+/// inputhour + pretrans on any set of grid points (multiscale mesh vertices
+/// or uniform cell centres): meteorology and emissions sampled mid-hour,
+/// stacks mapped to the nearest point, and the step count from the CFL
+/// bound `stable_dt_hours(layer wind, kh)` of the worst layer.
+HourlyInputs sample_hourly_inputs(
+    std::span<const Point2> points, int layers, const Meteorology& met,
+    const EmissionInventory& emissions, const IoWorkModel& work, int hour,
+    const std::function<double(std::span<const Point2>, double)>&
+        stable_dt_hours);
+
+/// Sequential work of one outputhour call on a (layers, points) grid.
+double outputhour_work_flops(const IoWorkModel& work, int layers,
+                             std::size_t points);
 
 /// Domain statistics computed by outputhour.
 struct HourlyStats {

@@ -272,14 +272,11 @@ enum class LaneMode {
   tolerance,
 };
 
-/// Knobs for the blocked execution path, carried in ModelOptions. The
-/// blocked path with LaneMode::strict is bit-identical to the scalar
-/// oracle at every block size and thread count, so those knobs only trade
+/// Knobs of the blocked kernels the model runs, carried in ModelOptions.
+/// With LaneMode::strict every kernel is bit-identical to its scalar
+/// reference at every block size and thread count, so the knobs only trade
 /// speed; LaneMode::tolerance trades a bounded relative error for more.
 struct KernelOptions {
-  /// Route chemistry columns, vertical diffusion, and transport layers
-  /// through the cell-batched SoA kernels (false = scalar reference path).
-  bool blocked = true;
   /// Cells per chemistry/vertical block (lanes of the SoA panels). 64 is
   /// the measured sweet spot on the reference host (see
   /// BENCH_kernel_soa.json): wide enough to amortize per-round control

@@ -1,60 +1,11 @@
 #include "airshed/core/model.hpp"
 
-#include <algorithm>
-#include <array>
-#include <chrono>
-#include <cmath>
-#include <cstdint>
 #include <optional>
 
-#include "airshed/aerosol/aerosol.hpp"
-#include "airshed/chem/yb_block.hpp"
-#include "airshed/kernel/cellblock.hpp"
-#include "airshed/par/pool.hpp"
 #include "airshed/transport/supg.hpp"
-#include "airshed/util/error.hpp"
-#include "airshed/vert/vertical.hpp"
+#include "hour_loop.hpp"
 
 namespace airshed {
-
-using par::PhaseTimer;
-
-namespace {
-
-/// Per-thread scratch of the blocked chemistry + vertical phase: the cell
-/// panel plus the per-lane side arrays, sized once per run (allocation
-/// never happens inside the hour loop).
-struct ChemBlockScratch {
-  explicit ChemBlockScratch(int block)
-      : cells(kSpeciesCount, block),
-        temps(static_cast<std::size_t>(block)),
-        res(static_cast<std::size_t>(block)),
-        colwork(static_cast<std::size_t>(block)),
-        elev(static_cast<std::size_t>(block)) {}
-
-  kernel::CellBlock cells;
-  std::vector<double> temps;
-  std::vector<YoungBorisResult> res;
-  std::vector<double> colwork;
-  std::vector<const double*> elev;
-};
-
-/// Per-solver counter snapshot taken at run start; the run's HostProfile
-/// reports deltas against it, so a reused ResidentEngine solver never
-/// leaks a previous run's counts into this run.
-struct SolverCounters {
-  long long hits = 0, shared = 0, evals = 0, evictions = 0;
-  long long dense = 0, live = 0, rounds = 0, substeps = 0;
-
-  static SolverCounters of(const YoungBorisSolver& yb) {
-    return {yb.rate_cache_hits(), yb.rate_cache_shared_hits(),
-            yb.rate_evals(),      yb.rate_cache_evictions(),
-            yb.lane_evals_dense(), yb.lane_evals_live(),
-            yb.block_rounds(),    yb.substeps_total()};
-  }
-};
-
-}  // namespace
 
 /// Warm per-thread solver state. `base` (declared first, destroyed last)
 /// keeps the mesh and layer structure alive while SupgTransport /
@@ -68,10 +19,7 @@ struct ResidentEngine::State {
   std::int64_t run_serial = 0;  ///< distinct rate-epoch base per run
   long long runs = 0;
   long long reuses = 0;
-  std::optional<par::PerThread<SupgTransport>> supg;
-  std::optional<par::PerThread<YoungBorisBlockSolver>> chem;
-  std::optional<par::PerThread<VerticalTransport>> vert;
-  std::optional<par::PerThread<ChemBlockScratch>> scratch;
+  std::optional<detail::ThreadSolvers<SupgTransport>> solvers;
 };
 
 ResidentEngine::ResidentEngine() = default;
@@ -84,22 +32,108 @@ long long ResidentEngine::reuses() const {
   return state_ ? state_->reuses : 0;
 }
 
+namespace detail {
+
+ConcentrationField background_field(int layers, std::size_t points) {
+  ConcentrationField conc(kSpeciesCount, layers, points);
+  for (int s = 0; s < kSpeciesCount; ++s) {
+    const double bg = background_ppm(static_cast<Species>(s));
+    for (int k = 0; k < layers; ++k) {
+      for (std::size_t v = 0; v < points; ++v) conc(s, k, v) = bg;
+    }
+  }
+  return conc;
+}
+
+void check_resume(const char* who, const CheckpointRecord& from,
+                  const std::string& dataset, int layers, std::size_t points,
+                  int hours) {
+  const std::string prefix = std::string(who) + "::resume: checkpoint ";
+  if (from.dataset != dataset) {
+    throw ConfigError(prefix + "is for dataset '" + from.dataset +
+                      "', model is bound to '" + dataset + "'");
+  }
+  const auto nl = static_cast<std::size_t>(layers);
+  if (from.conc.dim0() != static_cast<std::size_t>(kSpeciesCount) ||
+      from.conc.dim1() != nl || from.conc.dim2() != points ||
+      from.pm.dim0() != static_cast<std::size_t>(kPmComponents) ||
+      from.pm.dim1() != nl || from.pm.dim2() != points) {
+    throw ConfigError(prefix + "field shape does not match dataset '" +
+                      dataset + "'");
+  }
+  if (from.next_hour < 0 || from.next_hour > hours) {
+    throw ConfigError(prefix + "next_hour " + std::to_string(from.next_hour) +
+                      " outside run horizon of " + std::to_string(hours) +
+                      " hours");
+  }
+}
+
+/// The multiscale binding of the hour loop: SUPG transport on the refined
+/// mesh, InputGenerator inputs, area-weighted outputhour statistics, and
+/// per-thread solvers served warm from ModelOptions::engine when it was
+/// last used with the same dataset base, options and thread count.
+class MultiscaleBinding {
+ public:
+  using Transport = SupgTransport;
+
+  MultiscaleBinding(const Dataset& ds, const ModelOptions& opts)
+      : ds_(ds), opts_(opts), inputs_(ds, opts.transport, opts.io_work) {}
+
+  const std::string& name() const { return ds_.name(); }
+  int layers() const { return ds_.layers(); }
+  std::size_t points() const { return ds_.points(); }
+  const Meteorology& met() const { return ds_.met(); }
+  std::size_t row_parallelism() const { return 1; }
+
+  HourlyInputs inputs(int hour) const { return inputs_.generate(hour); }
+  HourlyStats stats(const ConcentrationField& conc, const Array3<double>& pm,
+                    int hour) const {
+    return compute_hourly_stats(ds_, conc, pm, hour);
+  }
+
+  BoundSolvers<SupgTransport> bind_solvers(int nthreads) {
+    // The caller's engine (warm across runs) or a run-local throwaway.
+    // Reuse is keyed on the immutable dataset base's identity plus the
+    // option set and thread count; anything else rebuilds in place.
+    ResidentEngine& engine = opts_.engine ? *opts_.engine : local_engine_;
+    if (!engine.state_) engine.state_ = std::make_unique<ResidentEngine::State>();
+    ResidentEngine::State& st = *engine.state_;
+    const bool reuse = st.solvers.has_value() && st.base == ds_.base &&
+                       st.transport == opts_.transport &&
+                       st.chem_opts == opts_.chem && st.kernel == opts_.kernel &&
+                       st.nthreads == nthreads;
+    ++st.runs;
+    if (reuse) {
+      ++st.reuses;
+    } else {
+      st.base = ds_.base;
+      st.transport = opts_.transport;
+      st.chem_opts = opts_.chem;
+      st.kernel = opts_.kernel;
+      st.nthreads = nthreads;
+      st.solvers.emplace(
+          nthreads, [&] { return SupgTransport(ds_.mesh(), opts_.transport); },
+          ds_.layer_dz_m(), opts_);
+    }
+    return {*st.solvers, st.run_serial++ << 20};
+  }
+
+ private:
+  const Dataset& ds_;
+  const ModelOptions& opts_;
+  InputGenerator inputs_;
+  ResidentEngine local_engine_;
+};
+
+}  // namespace detail
+
 AirshedModel::AirshedModel(const Dataset& dataset, ModelOptions opts)
     : dataset_(&dataset), opts_(opts) {
   AIRSHED_REQUIRE(opts.hours >= 1, "need at least one simulated hour");
 }
 
 ConcentrationField AirshedModel::initial_conditions(const Dataset& dataset) {
-  ConcentrationField conc(kSpeciesCount, dataset.layers(), dataset.points());
-  for (int s = 0; s < kSpeciesCount; ++s) {
-    const double bg = background_ppm(static_cast<Species>(s));
-    for (int k = 0; k < dataset.layers(); ++k) {
-      for (std::size_t v = 0; v < dataset.points(); ++v) {
-        conc(s, k, v) = bg;
-      }
-    }
-  }
-  return conc;
+  return detail::background_field(dataset.layers(), dataset.points());
 }
 
 ModelRunResult AirshedModel::run(const HourCallback& on_hour) {
@@ -120,33 +154,8 @@ ModelRunResult AirshedModel::run_with_checkpoints(
 ModelRunResult AirshedModel::resume(const CheckpointRecord& from,
                                     const HourCallback& on_hour) {
   const Dataset& ds = *dataset_;
-  if (from.dataset != ds.name()) {
-    throw ConfigError("AirshedModel::resume: checkpoint is for dataset '" +
-                      from.dataset + "', model is bound to '" + ds.name() +
-                      "'");
-  }
-  if (from.conc.dim0() != static_cast<std::size_t>(kSpeciesCount) ||
-      from.conc.dim1() != static_cast<std::size_t>(ds.layers()) ||
-      from.conc.dim2() != ds.points()) {
-    throw ConfigError(
-        "AirshedModel::resume: checkpoint concentration shape does not match "
-        "dataset '" +
-        ds.name() + "'");
-  }
-  if (from.pm.dim0() != static_cast<std::size_t>(kPmComponents) ||
-      from.pm.dim1() != static_cast<std::size_t>(ds.layers()) ||
-      from.pm.dim2() != ds.points()) {
-    throw ConfigError(
-        "AirshedModel::resume: checkpoint particulate shape does not match "
-        "dataset '" +
-        ds.name() + "'");
-  }
-  if (from.next_hour < 0 || from.next_hour > opts_.hours) {
-    throw ConfigError("AirshedModel::resume: checkpoint next_hour " +
-                      std::to_string(from.next_hour) +
-                      " outside run horizon of " +
-                      std::to_string(opts_.hours) + " hours");
-  }
+  detail::check_resume("AirshedModel", from, ds.name(), ds.layers(),
+                       ds.points(), opts_.hours);
   return run_hours(from.next_hour, from.conc, from.pm, on_hour, {});
 }
 
@@ -163,322 +172,9 @@ ModelRunResult AirshedModel::run_hours(int first_hour, ConcentrationField conc0,
                                        Array3<double> pm0,
                                        const HourCallback& on_hour,
                                        const CheckpointCallback& on_checkpoint) {
-  const Dataset& ds = *dataset_;
-  const std::size_t nv = ds.points();
-  const int nl = ds.layers();
-
-  ModelRunResult result;
-  result.trace.dataset = ds.name();
-  result.trace.species = kSpeciesCount;
-  result.trace.layers = static_cast<std::size_t>(nl);
-  result.trace.points = nv;
-
-  result.outputs.conc = std::move(conc0);
-  result.outputs.pm = std::move(pm0);
-  ConcentrationField& conc = result.outputs.conc;
-  Array3<double>& pm = result.outputs.pm;
-
-  InputGenerator inputs(ds, opts_.transport, opts_.io_work);
-  AerosolModule aerosol;
-
-  // Virtual-node kernels run pooled over host threads: transport over
-  // layers, chemistry + vertical transport over columns. Each thread owns
-  // its solver instances (scratch is stateful), each item its output slot,
-  // so results are bit-identical for every thread count.
-  const auto setup_start = std::chrono::steady_clock::now();
-  int requested = par::resolve_threads(opts_.host_threads);
-  if (!opts_.oversubscribe) {
-    // Compute-bound pools gain nothing past the core count; oversubscribing
-    // just adds contention (EXPERIMENTS.md). Results are thread-count
-    // independent, so the cap cannot change any output.
-    requested = std::min(requested, par::hardware_threads());
-  }
-  par::WorkerPool pool(requested);
-  const int nthreads = pool.threads();
-  const kernel::KernelOptions& ko = opts_.kernel;
-  const std::size_t cell_block =
-      static_cast<std::size_t>(std::max(1, ko.block));
-
-  // Per-thread solver state lives in a ResidentEngine: the caller's (warm
-  // across runs) or a run-local throwaway. Reuse is keyed on the immutable
-  // dataset base's identity plus the option set and thread count; anything
-  // else rebuilds in place.
-  ResidentEngine local_engine;
-  ResidentEngine& engine = opts_.engine ? *opts_.engine : local_engine;
-  if (!engine.state_) engine.state_ = std::make_unique<ResidentEngine::State>();
-  ResidentEngine::State& st = *engine.state_;
-  const bool reuse = st.supg.has_value() && st.base == ds.base &&
-                     st.transport == opts_.transport &&
-                     st.chem_opts == opts_.chem && st.kernel == ko &&
-                     st.nthreads == nthreads;
-  ++st.runs;
-  if (reuse) {
-    ++st.reuses;
-  } else {
-    st.base = ds.base;
-    st.transport = opts_.transport;
-    st.chem_opts = opts_.chem;
-    st.kernel = ko;
-    st.nthreads = nthreads;
-    st.supg.emplace(nthreads,
-                    [&] { return SupgTransport(ds.mesh(), opts_.transport); });
-    st.chem.emplace(nthreads, [&] {
-      return YoungBorisBlockSolver(Mechanism::cb4_condensed(), opts_.chem,
-                                   ko.lane_mode);
-    });
-    st.vert.emplace(nthreads,
-                    [&] { return VerticalTransport(ds.layer_dz_m()); });
-    st.scratch.emplace(nthreads, [&] {
-      return ChemBlockScratch(static_cast<int>(ko.blocked ? cell_block : 1));
-    });
-  }
-  par::PerThread<SupgTransport>& supg = *st.supg;
-  par::PerThread<YoungBorisBlockSolver>& chem = *st.chem;
-  par::PerThread<VerticalTransport>& vert = *st.vert;
-  par::PerThread<ChemBlockScratch>& chem_scratch = *st.scratch;
-  // Distinct per-run epoch base: set_rate_epoch(base + h) clears the
-  // private rate caches at every hour of every run, so a reused solver can
-  // never serve a previous run's epoch (hits stay a pure per-run function;
-  // results would be bit-identical even if it could — cache purity).
-  const std::int64_t epoch_base = st.run_serial++ << 20;
-  for (YoungBorisBlockSolver& solver : chem) {
-    solver.scalar().set_shared_rates(opts_.shared_rates, opts_.capture_rates);
-  }
-  HostProfile* prof = opts_.profile;
-  std::vector<SolverCounters> counters0;
-  if (prof) {
-    *prof = HostProfile{};
-    prof->threads = nthreads;
-    counters0.reserve(static_cast<std::size_t>(nthreads));
-    for (const YoungBorisBlockSolver& solver : chem) {
-      counters0.push_back(SolverCounters::of(solver.scalar()));
-    }
-    prof->setup_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      setup_start)
-            .count();
-  }
-  obs::TraceRecorder* rec = opts_.trace;
-  if (rec) {
-    AIRSHED_REQUIRE(rec->threads() >= nthreads,
-                    "ModelOptions::trace recorder has fewer lanes than the "
-                    "resolved host thread count");
-    pool.set_observer(rec);
-  }
-
-  std::array<double, kSpeciesCount> background{};
-  std::array<double, kSpeciesCount> deposition{};
-  for (int s = 0; s < kSpeciesCount; ++s) {
-    background[s] = background_ppm(static_cast<Species>(s));
-    deposition[s] = deposition_velocity_ms(static_cast<Species>(s));
-  }
-
-  const std::vector<double> no_elevated;
-
-  for (int h = first_hour; h < opts_.hours; ++h) {
-    const double hour_start = opts_.start_hour + h;
-    // Rate constants frozen on (temp, sun) are reusable within the hour.
-    for (YoungBorisBlockSolver& solver : chem) {
-      solver.set_rate_epoch(epoch_base + h);
-    }
-    HourlyInputs in = [&] {
-      PhaseTimer timer(prof ? &prof->io_s : nullptr);
-      obs::ObsSpan span(rec, 0, "inputhour", PhaseCategory::IoProcessing, h);
-      return inputs.generate(static_cast<int>(hour_start));
-    }();
-
-    HourTrace hour_trace;
-    hour_trace.input_work = in.input_work_flops;
-    hour_trace.pretrans_work = in.pretrans_work_flops;
-
-    const double dt_hours = 1.0 / in.nsteps;
-    for (int j = 0; j < in.nsteps; ++j) {
-      const double t_step = hour_start + j * dt_hours;
-      StepTrace step;
-      step.transport1_layer_work.resize(nl);
-      step.transport2_layer_work.resize(nl);
-      step.chem_column_work.assign(nv, 0.0);
-
-      // Layers are independent (the SUPG operator is layer-local); each
-      // thread advances its own block of layers with its own operator.
-      auto transport_half = [&](std::vector<double>& layer_work) {
-        PhaseTimer timer(prof ? &prof->transport_s : nullptr);
-        obs::ObsSpan phase(rec, 0, "transport Lxy", PhaseCategory::Transport,
-                           h);
-        pool.set_phase("transport Lxy", PhaseCategory::Transport, h);
-        pool.for_each(static_cast<std::size_t>(nl), [&](int t, std::size_t k) {
-          obs::ObsSpan layer(rec, t, "transport layer",
-                             PhaseCategory::Transport, h);
-          const TransportStepResult r =
-              ko.blocked
-                  ? supg[t].advance_layer_blocked(conc, k, in.wind_kmh[k],
-                                                  in.kh_km2h, 0.5 * dt_hours,
-                                                  background,
-                                                  ko.species_block)
-                  : supg[t].advance_layer(conc, k, in.wind_kmh[k], in.kh_km2h,
-                                          0.5 * dt_hours, background);
-          layer_work[k] = r.work_flops;
-        });
-      };
-
-      // ---- Transport, first half step (Lxy, dt/2) ----------------------
-      transport_half(step.transport1_layer_work);
-
-      // ---- Chemistry + vertical transport (Lcz, dt) ---------------------
-      const double t_mid = t_step + 0.5 * dt_hours;
-      const double sun = ds.met().photolysis_factor(t_mid);
-      const double dt_min = dt_hours * 60.0;
-      const double lapse = ds.met().params().lapse_k_per_layer;
-
-      // Columns are independent; each writes only its own (s, k, v) cells
-      // and its own chem_column_work slot.
-      if (ko.blocked) {
-        // Cell-batched path: contiguous runs of columns gather into SoA
-        // panels; a block is owned by one thread and one output range, so
-        // the airshed::par fixed-block contract still holds and results
-        // stay bit-identical at every thread count and block size.
-        PhaseTimer timer(prof ? &prof->chemistry_s : nullptr);
-        obs::ObsSpan phase(rec, 0, "chemistry Lcz", PhaseCategory::Chemistry,
-                           h);
-        pool.set_phase("chemistry Lcz", PhaseCategory::Chemistry, h);
-        const std::size_t nblocks = (nv + cell_block - 1) / cell_block;
-        pool.for_each(nblocks, [&](int t, std::size_t blk) {
-          obs::ObsSpan block(rec, t, "chem block", PhaseCategory::Chemistry, h);
-          ChemBlockScratch& scr = chem_scratch[t];
-          const std::size_t v0 = blk * cell_block;
-          const std::size_t bw = std::min(cell_block, nv - v0);
-          for (std::size_t i = 0; i < bw; ++i) scr.colwork[i] = 0.0;
-          for (int k = 0; k < nl; ++k) {
-            scr.cells.gather(conc, static_cast<std::size_t>(k), v0,
-                             static_cast<int>(bw));
-            for (std::size_t i = 0; i < bw; ++i) {
-              scr.temps[i] = in.vertex_temp_k[v0 + i] - lapse * k;
-            }
-            try {
-              chem[t].integrate_block(
-                  scr.cells, dt_min, std::span<const double>(scr.temps).first(bw),
-                  sun, std::span<YoungBorisResult>(scr.res).first(bw));
-            } catch (const NumericalError& e) {
-              throw NumericalError(std::string(e.what()) + " (grid points [" +
-                                   std::to_string(v0) + ", " +
-                                   std::to_string(v0 + bw) + "), layer " +
-                                   std::to_string(k) + ", hour " +
-                                   std::to_string(h) + ")");
-            }
-            scr.cells.scatter(conc, static_cast<std::size_t>(k), v0);
-            for (std::size_t i = 0; i < bw; ++i) {
-              scr.colwork[i] += scr.res[i].work_flops;
-            }
-          }
-          for (std::size_t i = 0; i < bw; ++i) {
-            const auto it = in.elevated_flux.find(v0 + i);
-            scr.elev[i] =
-                it != in.elevated_flux.end() ? it->second.data() : nullptr;
-          }
-          const VerticalStepResult vr = vert[t].advance_columns(
-              conc, v0, bw, in.kz_m2s, in.surface_flux, deposition,
-              std::span<const double* const>(scr.elev.data(), bw), dt_min);
-          // Block commit: everything this block writes (chemistry scatter +
-          // vertical transport) is now in the field — last chance to catch
-          // poisoned state where it entered rather than hours downstream.
-          if (ko.tripwire) {
-            kernel::check_block_finite(conc, v0, bw, h, static_cast<int>(blk));
-          }
-          for (std::size_t i = 0; i < bw; ++i) {
-            step.chem_column_work[v0 + i] = scr.colwork[i] + vr.work_flops;
-          }
-        });
-      } else {
-        PhaseTimer timer(prof ? &prof->chemistry_s : nullptr);
-        obs::ObsSpan phase(rec, 0, "chemistry Lcz", PhaseCategory::Chemistry,
-                           h);
-        pool.set_phase("chemistry Lcz", PhaseCategory::Chemistry, h);
-        pool.for_each(nv, [&](int t, std::size_t v) {
-          std::array<double, kSpeciesCount> cell{};
-          std::array<double, kSpeciesCount> column_flux{};
-          double column_work = 0.0;
-          for (int k = 0; k < nl; ++k) {
-            for (int s = 0; s < kSpeciesCount; ++s) cell[s] = conc(s, k, v);
-            const double temp = in.vertex_temp_k[v] - lapse * k;
-            YoungBorisResult r;
-            try {
-              r = chem[t].scalar().integrate(cell, dt_min, temp, sun);
-            } catch (const NumericalError& e) {
-              // The box solver is cell-local; attach the grid location here.
-              throw NumericalError(std::string(e.what()) + " (grid point " +
-                                   std::to_string(v) + ", layer " +
-                                   std::to_string(k) + ", hour " +
-                                   std::to_string(h) + ")");
-            }
-            for (int s = 0; s < kSpeciesCount; ++s) conc(s, k, v) = cell[s];
-            column_work += r.work_flops;
-          }
-          for (int s = 0; s < kSpeciesCount; ++s) {
-            column_flux[s] = in.surface_flux(s, v);
-          }
-          const auto elevated_it = in.elevated_flux.find(v);
-          const VerticalStepResult vr = vert[t].advance_column(
-              conc, v, in.kz_m2s, column_flux, deposition,
-              elevated_it != in.elevated_flux.end()
-                  ? std::span<const double>(elevated_it->second)
-                  : std::span<const double>(no_elevated),
-              dt_min);
-          column_work += vr.work_flops;
-          step.chem_column_work[v] = column_work;
-        });
-      }
-
-      // ---- Aerosol (sequential, replicated) ------------------------------
-      {
-        PhaseTimer timer(prof ? &prof->aerosol_s : nullptr);
-        obs::ObsSpan span(rec, 0, "aerosol", PhaseCategory::Aerosol, h);
-        const AerosolResult ar = aerosol.equilibrate(conc, pm, in.layer_temp_k);
-        step.aerosol_work = ar.work_flops;
-      }
-
-      // ---- Transport, second half step (Lxy, dt/2) -----------------------
-      transport_half(step.transport2_layer_work);
-
-      hour_trace.steps.push_back(std::move(step));
-    }
-
-    // ---- outputhour ------------------------------------------------------
-    const HourlyStats stats = [&] {
-      PhaseTimer timer(prof ? &prof->io_s : nullptr);
-      obs::ObsSpan span(rec, 0, "outputhour", PhaseCategory::IoProcessing, h);
-      return compute_hourly_stats(ds, conc, pm, static_cast<int>(hour_start));
-    }();
-    hour_trace.output_work = inputs.outputhour_work_flops();
-    result.outputs.hourly.push_back(stats);
-    result.trace.hours.push_back(std::move(hour_trace));
-    if (on_hour) on_hour(stats, conc);
-    if (on_checkpoint) {
-      obs::ObsSpan span(rec, 0, "checkpoint", PhaseCategory::Recovery, h);
-      CheckpointRecord record;
-      record.dataset = ds.name();
-      record.next_hour = h + 1;
-      record.conc = conc;
-      record.pm = pm;
-      on_checkpoint(record);
-    }
-  }
-
-  if (prof) {
-    prof->thread_busy_s = pool.busy_seconds();
-    for (int t = 0; t < nthreads; ++t) {
-      const SolverCounters now = SolverCounters::of(chem[t].scalar());
-      const SolverCounters& was = counters0[static_cast<std::size_t>(t)];
-      prof->rate_cache_hits += now.hits - was.hits;
-      prof->rate_cache_shared_hits += now.shared - was.shared;
-      prof->rate_evals += now.evals - was.evals;
-      prof->rate_cache_evictions += now.evictions - was.evictions;
-      prof->lane_evals_dense += now.dense - was.dense;
-      prof->lane_evals_live += now.live - was.live;
-      prof->block_rounds += now.rounds - was.rounds;
-      prof->chem_substeps += now.substeps - was.substeps;
-    }
-  }
-  return result;
+  detail::MultiscaleBinding grid(*dataset_, opts_);
+  return detail::run_hour_loop(grid, opts_, first_hour, std::move(conc0),
+                               std::move(pm0), on_hour, on_checkpoint);
 }
 
 }  // namespace airshed

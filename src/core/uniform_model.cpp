@@ -1,129 +1,81 @@
 #include "airshed/core/uniform_model.hpp"
 
-#include <algorithm>
-#include <array>
-#include <cmath>
-#include <limits>
-#include <unordered_map>
+#include <optional>
 
-#include "airshed/aerosol/aerosol.hpp"
-#include "airshed/chem/yb_block.hpp"
 #include "airshed/io/dataset.hpp"
-#include "airshed/kernel/cellblock.hpp"
-#include "airshed/par/pool.hpp"
-#include "airshed/util/error.hpp"
-#include "airshed/vert/vertical.hpp"
+#include "hour_loop.hpp"
 
 namespace airshed {
 
 namespace {
 
-/// Per-thread scratch of the blocked chemistry + vertical phase (the
-/// uniform-grid twin of the scratch in model.cpp).
-struct ChemBlockScratch {
-  explicit ChemBlockScratch(int block)
-      : cells(kSpeciesCount, block),
-        temps(static_cast<std::size_t>(block)),
-        res(static_cast<std::size_t>(block)),
-        colwork(static_cast<std::size_t>(block)),
-        elev(static_cast<std::size_t>(block)) {}
+/// The uniform-grid binding of the hour loop: Lx/Ly transport on the
+/// regular grid, inputs sampled at cell centres, and run-local per-thread
+/// solvers (ResidentEngine is keyed on the multiscale DatasetBase).
+class UniformBinding {
+ public:
+  using Transport = OneDimTransport;
 
-  kernel::CellBlock cells;
-  std::vector<double> temps;
-  std::vector<YoungBorisResult> res;
-  std::vector<double> colwork;
-  std::vector<const double*> elev;
-};
+  UniformBinding(const UniformDataset& ds, const ModelOptions& opts)
+      : ds_(ds), opts_(opts), centers_(ds.grid.all_centers()) {}
 
-/// Hourly inputs on a uniform grid (the cell-centered analog of
-/// InputGenerator).
-struct UniformHourlyInputs {
-  std::vector<std::vector<Point2>> wind_kmh;  // [layer][cell]
-  double kh_km2h = 0.0;
-  std::vector<double> kz_m2s;
-  std::vector<double> layer_temp_k;
-  std::vector<double> cell_temp_k;
-  Array2<double> surface_flux;  // (species, cell)
-  std::unordered_map<std::size_t, std::vector<double>> elevated_flux;
-  int nsteps = 0;
-  double input_work = 0.0, pretrans_work = 0.0, output_work = 0.0;
-};
+  const std::string& name() const { return ds_.name; }
+  int layers() const { return ds_.layers; }
+  std::size_t points() const { return ds_.points(); }
+  const Meteorology& met() const { return ds_.met; }
+  std::size_t row_parallelism() const {
+    return std::min(ds_.grid.nx(), ds_.grid.ny());
+  }
 
-UniformHourlyInputs generate_uniform_inputs(const UniformDataset& ds,
-                                            const TransportOptions& topts,
-                                            const IoWorkModel& work,
-                                            int hour) {
-  const std::size_t nc = ds.points();
-  const int nl = ds.layers;
-  const double t_mid = hour + 0.5;
-  const std::vector<Point2> centers = ds.grid.all_centers();
+  HourlyInputs inputs(int hour) const {
+    const OneDimTransport op(ds_.grid, opts_.transport);
+    return sample_hourly_inputs(
+        centers_, ds_.layers, ds_.met, ds_.emissions, opts_.io_work, hour,
+        [&](std::span<const Point2> wind, double kh) {
+          return op.stable_dt_hours(wind, kh);
+        });
+  }
 
-  UniformHourlyInputs in;
-  in.wind_kmh.resize(nl);
-  for (int k = 0; k < nl; ++k) {
-    in.wind_kmh[k].resize(nc);
-    const double frac = nl > 1 ? static_cast<double>(k) / (nl - 1) : 0.0;
+  // Cell areas are uniform, so the unweighted mean is the area-weighted
+  // mean.
+  HourlyStats stats(const ConcentrationField& conc, const Array3<double>&,
+                    int hour) const {
+    HourlyStats st;
+    st.hour = hour;
+    const auto o3 = static_cast<std::size_t>(index_of(Species::O3));
+    const auto no2 = static_cast<std::size_t>(index_of(Species::NO2));
+    const auto co = static_cast<std::size_t>(index_of(Species::CO));
+    const std::size_t nc = ds_.points();
+    double o3_sum = 0.0, no2_sum = 0.0, co_sum = 0.0;
     for (std::size_t c = 0; c < nc; ++c) {
-      in.wind_kmh[k][c] = ds.met.wind(centers[c], t_mid, frac);
-    }
-  }
-  in.kh_km2h = ds.met.kh(t_mid);
-  in.kz_m2s.resize(nl > 1 ? nl - 1 : 0);
-  for (int k = 0; k + 1 < nl; ++k) in.kz_m2s[k] = ds.met.kz(t_mid, k, nl);
-  in.layer_temp_k.resize(nl);
-  for (int k = 0; k < nl; ++k) {
-    in.layer_temp_k[k] =
-        ds.met.temperature(ds.emissions.domain().center(), t_mid, k);
-  }
-  in.cell_temp_k.resize(nc);
-  for (std::size_t c = 0; c < nc; ++c) {
-    in.cell_temp_k[c] = ds.met.temperature(centers[c], t_mid, 0);
-  }
-
-  in.surface_flux = Array2<double>(kSpeciesCount, nc, 0.0);
-  for (int s = 0; s < kSpeciesCount; ++s) {
-    const Species sp = static_cast<Species>(s);
-    if (!is_emitted_species(sp)) continue;
-    for (std::size_t c = 0; c < nc; ++c) {
-      in.surface_flux(s, c) = ds.emissions.surface_flux(sp, centers[c], t_mid);
-    }
-  }
-  for (const PointSource& src : ds.emissions.point_sources()) {
-    std::size_t best = 0;
-    double best_d = std::numeric_limits<double>::max();
-    for (std::size_t c = 0; c < nc; ++c) {
-      const double d = norm(centers[c] - src.location);
-      if (d < best_d) {
-        best_d = d;
-        best = c;
+      const double v = conc(o3, 0, c);
+      if (v > st.max_surface_o3_ppm) {
+        st.max_surface_o3_ppm = v;
+        st.max_o3_location = centers_[c];
       }
+      o3_sum += v;
+      no2_sum += conc(no2, 0, c);
+      co_sum += conc(co, 0, c);
     }
-    auto& flat = in.elevated_flux[best];
-    if (flat.empty()) {
-      flat.assign(static_cast<std::size_t>(kSpeciesCount) * nl, 0.0);
-    }
-    const int layer = std::min(src.layer, nl - 1);
-    flat[static_cast<std::size_t>(index_of(src.species)) * nl + layer] +=
-        src.rate_ppm_m_min;
+    st.mean_surface_o3_ppm = o3_sum / static_cast<double>(nc);
+    st.mean_surface_no2_ppm = no2_sum / static_cast<double>(nc);
+    st.mean_surface_co_ppm = co_sum / static_cast<double>(nc);
+    return st;
   }
 
-  OneDimTransport op(ds.grid, topts);
-  double dt_stable = 1.0;
-  for (int k = 0; k < nl; ++k) {
-    dt_stable =
-        std::min(dt_stable, op.stable_dt_hours(in.wind_kmh[k], in.kh_km2h));
+  detail::BoundSolvers<OneDimTransport> bind_solvers(int nthreads) {
+    solvers_.emplace(
+        nthreads, [&] { return OneDimTransport(ds_.grid, opts_.transport); },
+        ds_.layer_dz_m, opts_);
+    return {*solvers_, 0};
   }
-  in.nsteps = std::clamp(static_cast<int>(std::ceil(1.0 / dt_stable)),
-                         InputGenerator::kMinStepsPerHour,
-                         InputGenerator::kMaxStepsPerHour);
 
-  const double elements = static_cast<double>(kSpeciesCount) *
-                          static_cast<double>(nl) * static_cast<double>(nc);
-  in.input_work = work.input_flops_per_element * elements;
-  in.pretrans_work = work.pretrans_flops_per_element * elements;
-  in.output_work = work.output_flops_per_element * elements;
-  return in;
-}
+ private:
+  const UniformDataset& ds_;
+  const ModelOptions& opts_;
+  std::vector<Point2> centers_;
+  std::optional<detail::ThreadSolvers<OneDimTransport>> solvers_;
+};
 
 }  // namespace
 
@@ -154,14 +106,7 @@ UniformAirshedModel::UniformAirshedModel(const UniformDataset& dataset,
 
 ConcentrationField UniformAirshedModel::initial_conditions(
     const UniformDataset& dataset) {
-  ConcentrationField conc(kSpeciesCount, dataset.layers, dataset.points());
-  for (int s = 0; s < kSpeciesCount; ++s) {
-    const double bg = background_ppm(static_cast<Species>(s));
-    for (int k = 0; k < dataset.layers; ++k) {
-      for (std::size_t c = 0; c < dataset.points(); ++c) conc(s, k, c) = bg;
-    }
-  }
-  return conc;
+  return detail::background_field(dataset.layers, dataset.points());
 }
 
 ModelRunResult UniformAirshedModel::run(const HourCallback& on_hour) {
@@ -182,282 +127,17 @@ ModelRunResult UniformAirshedModel::run_with_checkpoints(
 ModelRunResult UniformAirshedModel::resume(const CheckpointRecord& from,
                                            const HourCallback& on_hour) {
   const UniformDataset& ds = *dataset_;
-  if (from.dataset != ds.name) {
-    throw ConfigError(
-        "UniformAirshedModel::resume: checkpoint is for dataset '" +
-        from.dataset + "', model is bound to '" + ds.name + "'");
-  }
-  if (from.conc.dim0() != static_cast<std::size_t>(kSpeciesCount) ||
-      from.conc.dim1() != static_cast<std::size_t>(ds.layers) ||
-      from.conc.dim2() != ds.points() ||
-      from.pm.dim0() != static_cast<std::size_t>(kPmComponents) ||
-      from.pm.dim1() != static_cast<std::size_t>(ds.layers) ||
-      from.pm.dim2() != ds.points()) {
-    throw ConfigError(
-        "UniformAirshedModel::resume: checkpoint field shape does not match "
-        "dataset '" +
-        ds.name + "'");
-  }
-  if (from.next_hour < 0 || from.next_hour > opts_.hours) {
-    throw ConfigError("UniformAirshedModel::resume: checkpoint next_hour " +
-                      std::to_string(from.next_hour) +
-                      " outside run horizon of " +
-                      std::to_string(opts_.hours) + " hours");
-  }
+  detail::check_resume("UniformAirshedModel", from, ds.name, ds.layers,
+                       ds.points(), opts_.hours);
   return run_hours(from.next_hour, from.conc, from.pm, on_hour, {});
 }
 
 ModelRunResult UniformAirshedModel::run_hours(
     int first_hour, ConcentrationField conc0, Array3<double> pm0,
     const HourCallback& on_hour, const CheckpointCallback& on_checkpoint) {
-  const UniformDataset& ds = *dataset_;
-  const std::size_t nc = ds.points();
-  const int nl = ds.layers;
-
-  ModelRunResult result;
-  result.trace.dataset = ds.name;
-  result.trace.species = kSpeciesCount;
-  result.trace.layers = static_cast<std::size_t>(nl);
-  result.trace.points = nc;
-  result.trace.transport_row_parallelism = std::min(ds.grid.nx(), ds.grid.ny());
-
-  result.outputs.conc = std::move(conc0);
-  result.outputs.pm = std::move(pm0);
-  ConcentrationField& conc = result.outputs.conc;
-  Array3<double>& pm = result.outputs.pm;
-
-  AerosolModule aerosol;
-
-  // Pooled virtual-node kernels, as in AirshedModel::run_hours: per-thread
-  // operator instances, per-item output slots, bit-identical results for
-  // every thread count.
-  int requested = par::resolve_threads(opts_.host_threads);
-  if (!opts_.oversubscribe) {
-    // Same cap as AirshedModel::run_hours: no gain past the core count.
-    requested = std::min(requested, par::hardware_threads());
-  }
-  par::WorkerPool pool(requested);
-  const int nthreads = pool.threads();
-  const kernel::KernelOptions& ko = opts_.kernel;
-  par::PerThread<OneDimTransport> transport(
-      nthreads, [&] { return OneDimTransport(ds.grid, opts_.transport); });
-  par::PerThread<YoungBorisBlockSolver> chem(nthreads, [&] {
-    return YoungBorisBlockSolver(Mechanism::cb4_condensed(), opts_.chem,
-                                 ko.lane_mode);
-  });
-  par::PerThread<VerticalTransport> vert(
-      nthreads, [&] { return VerticalTransport(ds.layer_dz_m); });
-  const std::size_t cell_block =
-      static_cast<std::size_t>(std::max(1, ko.block));
-  par::PerThread<ChemBlockScratch> chem_scratch(nthreads, [&] {
-    return ChemBlockScratch(static_cast<int>(ko.blocked ? cell_block : 1));
-  });
-  HostProfile* prof = opts_.profile;
-  if (prof) {
-    *prof = HostProfile{};
-    prof->threads = nthreads;
-  }
-  obs::TraceRecorder* rec = opts_.trace;
-  if (rec) {
-    AIRSHED_REQUIRE(rec->threads() >= nthreads,
-                    "ModelOptions::trace recorder has fewer lanes than the "
-                    "resolved host thread count");
-    pool.set_observer(rec);
-  }
-
-  std::array<double, kSpeciesCount> background{}, deposition{};
-  for (int s = 0; s < kSpeciesCount; ++s) {
-    background[s] = background_ppm(static_cast<Species>(s));
-    deposition[s] = deposition_velocity_ms(static_cast<Species>(s));
-  }
-  const std::vector<double> no_elevated;
-  const double lapse = ds.met.params().lapse_k_per_layer;
-
-  for (int h = first_hour; h < opts_.hours; ++h) {
-    const double hour_start = opts_.start_hour + h;
-    for (YoungBorisBlockSolver& solver : chem) solver.set_rate_epoch(h);
-    const UniformHourlyInputs in = [&] {
-      par::PhaseTimer timer(prof ? &prof->io_s : nullptr);
-      obs::ObsSpan span(rec, 0, "inputhour", PhaseCategory::IoProcessing, h);
-      return generate_uniform_inputs(ds, opts_.transport, opts_.io_work,
-                                     static_cast<int>(hour_start));
-    }();
-
-    HourTrace hour_trace;
-    hour_trace.input_work = in.input_work;
-    hour_trace.pretrans_work = in.pretrans_work;
-
-    const double dt_hours = 1.0 / in.nsteps;
-    for (int j = 0; j < in.nsteps; ++j) {
-      const double t_step = hour_start + j * dt_hours;
-      StepTrace step;
-      step.transport1_layer_work.resize(nl);
-      step.transport2_layer_work.resize(nl);
-      step.chem_column_work.assign(nc, 0.0);
-
-      auto transport_half = [&](std::vector<double>& layer_work) {
-        par::PhaseTimer timer(prof ? &prof->transport_s : nullptr);
-        obs::ObsSpan phase(rec, 0, "transport Lxy", PhaseCategory::Transport,
-                           h);
-        pool.set_phase("transport Lxy", PhaseCategory::Transport, h);
-        pool.for_each(static_cast<std::size_t>(nl), [&](int t, std::size_t k) {
-          obs::ObsSpan layer(rec, t, "transport layer",
-                             PhaseCategory::Transport, h);
-          layer_work[k] =
-              (ko.blocked
-                   ? transport[t].advance_layer_blocked(
-                         conc, k, in.wind_kmh[k], in.kh_km2h, 0.5 * dt_hours,
-                         background, ko.species_block)
-                   : transport[t].advance_layer(conc, k, in.wind_kmh[k],
-                                                in.kh_km2h, 0.5 * dt_hours,
-                                                background))
-                  .work_flops;
-        });
-      };
-
-      transport_half(step.transport1_layer_work);
-
-      const double t_mid = t_step + 0.5 * dt_hours;
-      const double sun = ds.met.photolysis_factor(t_mid);
-      const double dt_min = dt_hours * 60.0;
-      if (ko.blocked) {
-        par::PhaseTimer timer(prof ? &prof->chemistry_s : nullptr);
-        obs::ObsSpan phase(rec, 0, "chemistry Lcz", PhaseCategory::Chemistry,
-                           h);
-        pool.set_phase("chemistry Lcz", PhaseCategory::Chemistry, h);
-        const std::size_t nblocks = (nc + cell_block - 1) / cell_block;
-        pool.for_each(nblocks, [&](int t, std::size_t blk) {
-          obs::ObsSpan block(rec, t, "chem block", PhaseCategory::Chemistry, h);
-          ChemBlockScratch& scr = chem_scratch[t];
-          const std::size_t c0 = blk * cell_block;
-          const std::size_t bw = std::min(cell_block, nc - c0);
-          for (std::size_t i = 0; i < bw; ++i) scr.colwork[i] = 0.0;
-          for (int k = 0; k < nl; ++k) {
-            scr.cells.gather(conc, static_cast<std::size_t>(k), c0,
-                             static_cast<int>(bw));
-            for (std::size_t i = 0; i < bw; ++i) {
-              scr.temps[i] = in.cell_temp_k[c0 + i] - lapse * k;
-            }
-            chem[t].integrate_block(
-                scr.cells, dt_min, std::span<const double>(scr.temps).first(bw),
-                sun, std::span<YoungBorisResult>(scr.res).first(bw));
-            scr.cells.scatter(conc, static_cast<std::size_t>(k), c0);
-            for (std::size_t i = 0; i < bw; ++i) {
-              scr.colwork[i] += scr.res[i].work_flops;
-            }
-          }
-          for (std::size_t i = 0; i < bw; ++i) {
-            const auto it = in.elevated_flux.find(c0 + i);
-            scr.elev[i] =
-                it != in.elevated_flux.end() ? it->second.data() : nullptr;
-          }
-          const VerticalStepResult vr = vert[t].advance_columns(
-              conc, c0, bw, in.kz_m2s, in.surface_flux, deposition,
-              std::span<const double* const>(scr.elev.data(), bw), dt_min);
-          // Block commit tripwire (see core/model.cpp): trap non-finite
-          // state at the block that produced it.
-          if (ko.tripwire) {
-            kernel::check_block_finite(conc, c0, bw, h, static_cast<int>(blk));
-          }
-          for (std::size_t i = 0; i < bw; ++i) {
-            step.chem_column_work[c0 + i] = scr.colwork[i] + vr.work_flops;
-          }
-        });
-      } else {
-        par::PhaseTimer timer(prof ? &prof->chemistry_s : nullptr);
-        obs::ObsSpan phase(rec, 0, "chemistry Lcz", PhaseCategory::Chemistry,
-                           h);
-        pool.set_phase("chemistry Lcz", PhaseCategory::Chemistry, h);
-        pool.for_each(nc, [&](int t, std::size_t c) {
-          std::array<double, kSpeciesCount> cell{}, column_flux{};
-          double column_work = 0.0;
-          for (int k = 0; k < nl; ++k) {
-            for (int s = 0; s < kSpeciesCount; ++s) cell[s] = conc(s, k, c);
-            const double temp = in.cell_temp_k[c] - lapse * k;
-            column_work +=
-                chem[t].scalar().integrate(cell, dt_min, temp, sun).work_flops;
-            for (int s = 0; s < kSpeciesCount; ++s) conc(s, k, c) = cell[s];
-          }
-          for (int s = 0; s < kSpeciesCount; ++s) {
-            column_flux[s] = in.surface_flux(s, c);
-          }
-          const auto it = in.elevated_flux.find(c);
-          column_work +=
-              vert[t]
-                  .advance_column(conc, c, in.kz_m2s, column_flux, deposition,
-                                  it != in.elevated_flux.end()
-                                      ? std::span<const double>(it->second)
-                                      : std::span<const double>(no_elevated),
-                                  dt_min)
-                  .work_flops;
-          step.chem_column_work[c] = column_work;
-        });
-      }
-
-      {
-        par::PhaseTimer timer(prof ? &prof->aerosol_s : nullptr);
-        obs::ObsSpan span(rec, 0, "aerosol", PhaseCategory::Aerosol, h);
-        step.aerosol_work =
-            aerosol.equilibrate(conc, pm, in.layer_temp_k).work_flops;
-      }
-
-      transport_half(step.transport2_layer_work);
-
-      hour_trace.steps.push_back(std::move(step));
-    }
-
-    // outputhour statistics: reuse the surface-field reductions (cell areas
-    // are uniform, so the unweighted mean is the area-weighted mean).
-    HourlyStats stats;
-    stats.hour = static_cast<int>(hour_start);
-    const auto o3 = static_cast<std::size_t>(index_of(Species::O3));
-    const auto no2 = static_cast<std::size_t>(index_of(Species::NO2));
-    const auto co = static_cast<std::size_t>(index_of(Species::CO));
-    double o3_sum = 0.0, no2_sum = 0.0, co_sum = 0.0;
-    for (std::size_t c = 0; c < nc; ++c) {
-      const double v = conc(o3, 0, c);
-      if (v > stats.max_surface_o3_ppm) {
-        stats.max_surface_o3_ppm = v;
-        stats.max_o3_location =
-            ds.grid.center(c % ds.grid.nx(), c / ds.grid.nx());
-      }
-      o3_sum += v;
-      no2_sum += conc(no2, 0, c);
-      co_sum += conc(co, 0, c);
-    }
-    stats.mean_surface_o3_ppm = o3_sum / static_cast<double>(nc);
-    stats.mean_surface_no2_ppm = no2_sum / static_cast<double>(nc);
-    stats.mean_surface_co_ppm = co_sum / static_cast<double>(nc);
-
-    hour_trace.output_work = in.output_work;
-    result.outputs.hourly.push_back(stats);
-    result.trace.hours.push_back(std::move(hour_trace));
-    if (on_hour) on_hour(stats, conc);
-    if (on_checkpoint) {
-      obs::ObsSpan span(rec, 0, "checkpoint", PhaseCategory::Recovery, h);
-      CheckpointRecord record;
-      record.dataset = ds.name;
-      record.next_hour = h + 1;
-      record.conc = conc;
-      record.pm = pm;
-      on_checkpoint(record);
-    }
-  }
-
-  if (prof) {
-    prof->thread_busy_s = pool.busy_seconds();
-    for (const YoungBorisBlockSolver& solver : chem) {
-      const YoungBorisSolver& yb = solver.scalar();
-      prof->rate_cache_hits += yb.rate_cache_hits();
-      prof->rate_evals += yb.rate_evals();
-      prof->rate_cache_evictions += yb.rate_cache_evictions();
-      prof->lane_evals_dense += yb.lane_evals_dense();
-      prof->lane_evals_live += yb.lane_evals_live();
-      prof->block_rounds += yb.block_rounds();
-      prof->chem_substeps += yb.substeps_total();
-    }
-  }
-  return result;
+  UniformBinding grid(*dataset_, opts_);
+  return detail::run_hour_loop(grid, opts_, first_hour, std::move(conc0),
+                               std::move(pm0), on_hour, on_checkpoint);
 }
 
 }  // namespace airshed

@@ -1,7 +1,6 @@
 #include "airshed/core/worktrace.hpp"
 
 #include <filesystem>
-#include <fstream>
 
 #include "airshed/durable/container.hpp"
 #include "airshed/util/error.hpp"
@@ -10,55 +9,11 @@ namespace airshed {
 
 namespace {
 
-// Legacy plain-text headers (v1/v2); still readable so pre-existing trace
-// caches (including the committed traces/ files) keep working. New saves
-// write the durable framed container.
-constexpr const char* kMagicV1 = "airshed-worktrace-v1";
-constexpr const char* kMagicV2 = "airshed-worktrace-v2";
-
 constexpr const char* kTraceFormat = "airshed-worktrace";
 constexpr std::uint32_t kTraceVersion = 3;
 
 std::string hour_section(std::size_t i) {
   return "hour" + std::to_string(i);
-}
-
-/// Sanity bound on legacy-text counts (a malformed count must produce a
-/// typed error, not an allocation blow-up).
-constexpr std::size_t kMaxLegacyCount = 1u << 24;
-
-WorkTrace load_legacy_text(std::ifstream& is, const std::string& magic,
-                           const std::string& path) {
-  WorkTrace t;
-  std::getline(is, t.dataset);
-  std::size_t nhours = 0;
-  is >> t.species >> t.layers >> t.points;
-  if (magic == kMagicV2) is >> t.transport_row_parallelism;
-  is >> nhours;
-  if (!is || t.layers > kMaxLegacyCount || t.points > kMaxLegacyCount ||
-      nhours > kMaxLegacyCount) {
-    throw Error("malformed trace file shape: " + path);
-  }
-  t.hours.resize(nhours);
-  for (HourTrace& h : t.hours) {
-    std::size_t nsteps = 0;
-    is >> h.input_work >> h.pretrans_work >> h.output_work >> nsteps;
-    if (!is || nsteps > kMaxLegacyCount) {
-      throw Error("malformed trace file hour header: " + path);
-    }
-    h.steps.resize(nsteps);
-    for (StepTrace& s : h.steps) {
-      is >> s.aerosol_work;
-      s.transport1_layer_work.resize(t.layers);
-      for (double& x : s.transport1_layer_work) is >> x;
-      s.transport2_layer_work.resize(t.layers);
-      for (double& x : s.transport2_layer_work) is >> x;
-      s.chem_column_work.resize(t.points);
-      for (double& x : s.chem_column_work) is >> x;
-    }
-  }
-  if (!is) throw Error("truncated trace file: " + path);
-  return t;
 }
 
 }  // namespace
@@ -131,18 +86,6 @@ void WorkTrace::save(const std::string& path) const {
 }
 
 WorkTrace WorkTrace::load(const std::string& path) {
-  if (!durable::looks_like_container(path)) {
-    // Legacy plain-text trace (or not a trace at all).
-    std::ifstream is(path);
-    if (!is) throw durable::StorageError(path, "file", 0, "cannot open file");
-    std::string magic;
-    std::getline(is, magic);
-    if (magic != kMagicV1 && magic != kMagicV2) {
-      throw Error("bad trace file header: " + path);
-    }
-    return load_legacy_text(is, magic, path);
-  }
-
   const durable::ContainerReader c =
       durable::ContainerReader::read_file(path, kTraceFormat);
   if (c.version() != kTraceVersion) {

@@ -17,8 +17,20 @@ InputGenerator::InputGenerator(const Dataset& dataset,
 
 HourlyInputs InputGenerator::generate(int hour) const {
   const Dataset& ds = *dataset_;
-  const std::size_t nv = ds.points();
-  const int nl = ds.layers();
+  const SupgTransport supg(ds.mesh(), transport_opts_);
+  return sample_hourly_inputs(
+      ds.mesh().points(), ds.layers(), ds.met(), ds.emissions, work_, hour,
+      [&](std::span<const Point2> wind, double kh) {
+        return supg.stable_dt_hours(wind, kh);
+      });
+}
+
+HourlyInputs sample_hourly_inputs(
+    std::span<const Point2> pts, int nl, const Meteorology& met,
+    const EmissionInventory& emissions, const IoWorkModel& work, int hour,
+    const std::function<double(std::span<const Point2>, double)>&
+        stable_dt_hours) {
+  const std::size_t nv = pts.size();
   const double t_mid = static_cast<double>(hour) + 0.5;
 
   HourlyInputs in;
@@ -27,43 +39,42 @@ HourlyInputs InputGenerator::generate(int hour) const {
   // Wind per layer, sampled mid-hour (hourly inputs are piecewise constant,
   // as in the original observation files).
   in.wind_kmh.resize(nl);
-  const auto pts = ds.mesh().points();
   for (int k = 0; k < nl; ++k) {
     in.wind_kmh[k].resize(nv);
     const double frac = nl > 1 ? static_cast<double>(k) / (nl - 1) : 0.0;
     for (std::size_t v = 0; v < nv; ++v) {
-      in.wind_kmh[k][v] = ds.met().wind(pts[v], t_mid, frac);
+      in.wind_kmh[k][v] = met.wind(pts[v], t_mid, frac);
     }
   }
-  in.kh_km2h = ds.met().kh(t_mid);
+  in.kh_km2h = met.kh(t_mid);
 
   in.kz_m2s.resize(nl > 1 ? nl - 1 : 0);
   for (int k = 0; k + 1 < nl; ++k) {
-    in.kz_m2s[k] = ds.met().kz(t_mid, k, nl);
+    in.kz_m2s[k] = met.kz(t_mid, k, nl);
   }
 
   in.layer_temp_k.resize(nl);
-  const Point2 center = ds.emissions.domain().center();
+  const Point2 center = emissions.domain().center();
   for (int k = 0; k < nl; ++k) {
-    in.layer_temp_k[k] = ds.met().temperature(center, t_mid, k);
+    in.layer_temp_k[k] = met.temperature(center, t_mid, k);
   }
   in.vertex_temp_k.resize(nv);
   for (std::size_t v = 0; v < nv; ++v) {
-    in.vertex_temp_k[v] = ds.met().temperature(pts[v], t_mid, 0);
+    in.vertex_temp_k[v] = met.temperature(pts[v], t_mid, 0);
   }
 
-  // Surface emissions (species, vertex).
+  // Surface emissions (species, point).
   in.surface_flux = Array2<double>(kSpeciesCount, nv, 0.0);
   for (int s = 0; s < kSpeciesCount; ++s) {
     const Species sp = static_cast<Species>(s);
     if (!is_emitted_species(sp)) continue;
     for (std::size_t v = 0; v < nv; ++v) {
-      in.surface_flux(s, v) = ds.emissions.surface_flux(sp, pts[v], t_mid);
+      in.surface_flux(s, v) = emissions.surface_flux(sp, pts[v], t_mid);
     }
   }
 
-  // Elevated stack emissions mapped to the nearest grid vertex.
-  for (const PointSource& src : ds.emissions.point_sources()) {
+  // Elevated stack emissions mapped to the nearest grid point.
+  for (const PointSource& src : emissions.point_sources()) {
     std::size_t best = 0;
     double best_d = std::numeric_limits<double>::max();
     for (std::size_t v = 0; v < nv; ++v) {
@@ -82,27 +93,32 @@ HourlyInputs InputGenerator::generate(int hour) const {
 
   // Runtime-determined step count from the CFL bound of the hour's wind
   // (worst layer governs; aloft layers have the strongest wind).
-  SupgTransport supg(ds.mesh(), transport_opts_);
   double dt_stable = 1.0;
   for (int k = 0; k < nl; ++k) {
-    dt_stable = std::min(dt_stable,
-                         supg.stable_dt_hours(in.wind_kmh[k], in.kh_km2h));
+    dt_stable = std::min(dt_stable, stable_dt_hours(in.wind_kmh[k], in.kh_km2h));
   }
   in.nsteps = std::clamp(static_cast<int>(std::ceil(1.0 / dt_stable)),
-                         kMinStepsPerHour, kMaxStepsPerHour);
+                         InputGenerator::kMinStepsPerHour,
+                         InputGenerator::kMaxStepsPerHour);
 
   const double elements = static_cast<double>(kSpeciesCount) *
                           static_cast<double>(nl) * static_cast<double>(nv);
-  in.input_work_flops = work_.input_flops_per_element * elements;
-  in.pretrans_work_flops = work_.pretrans_flops_per_element * elements;
+  in.input_work_flops = work.input_flops_per_element * elements;
+  in.pretrans_work_flops = work.pretrans_flops_per_element * elements;
   return in;
 }
 
 double InputGenerator::outputhour_work_flops() const {
+  return airshed::outputhour_work_flops(work_, dataset_->layers(),
+                                        dataset_->points());
+}
+
+double outputhour_work_flops(const IoWorkModel& work, int layers,
+                             std::size_t points) {
   const double elements = static_cast<double>(kSpeciesCount) *
-                          static_cast<double>(dataset_->layers()) *
-                          static_cast<double>(dataset_->points());
-  return work_.output_flops_per_element * elements;
+                          static_cast<double>(layers) *
+                          static_cast<double>(points);
+  return work.output_flops_per_element * elements;
 }
 
 HourlyStats compute_hourly_stats(const Dataset& ds,

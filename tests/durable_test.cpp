@@ -336,22 +336,23 @@ TEST_F(DurableDir, WorkTraceRoundTripIsBitExact) {
   fs::remove(tmp);
 }
 
-TEST_F(DurableDir, LegacyTextTraceStillLoads) {
-  // Hand-written v2 text trace (the format of the committed traces/ files).
+TEST_F(DurableDir, PlainTextTraceIsRejectedWithTypedError) {
+  // A pre-container text trace whose counts would ask for ~10^11 elements:
+  // load must reject it by its header, before reading any count.
   const std::string p = path("legacy.trace");
   {
     std::ofstream os(p);
     os << "airshed-worktrace-v2\nTEST\n";
-    os << "2 1 2 1 1\n";        // species layers points row_par nhours
-    os << "10 1 2 1\n";         // input pretrans output nsteps
-    os << "3.5\n1.0\n2.0\n4.0 5.0\n";  // aerosol t1[1] t2[1] chem[2]
+    os << "2 99999999999 99999999999 1 99999999999\n";
+    os << "10 1 2 99999999999\n";
   }
-  const WorkTrace t = WorkTrace::load(p);
-  EXPECT_EQ(t.dataset, "TEST");
-  EXPECT_EQ(t.species, 2u);
-  ASSERT_EQ(t.hours.size(), 1u);
-  ASSERT_EQ(t.hours[0].steps.size(), 1u);
-  EXPECT_DOUBLE_EQ(t.hours[0].steps[0].chem_column_work[1], 5.0);
+  try {
+    (void)WorkTrace::load(p);
+    FAIL() << "plain-text trace loaded";
+  } catch (const durable::StorageError& e) {
+    EXPECT_EQ(e.path(), p);
+    EXPECT_NE(std::string(e.what()).find(p), std::string::npos) << e.what();
+  }
 }
 
 // ---------------------------------------------------------------- vault

@@ -154,6 +154,36 @@ TEST_P(DistributedEquivalenceSweep, PartitionedLoopMatchesSequential) {
 INSTANTIATE_TEST_SUITE_P(NodeCounts, DistributedEquivalenceSweep,
                          ::testing::Values(1, 2, 3, 5, 8, 16));
 
+// The model-level oracle: AirshedModel runs every phase through the
+// blocked SoA kernels on a worker pool, and must reproduce the sequential
+// scalar loop above bit for bit at every (block, threads) pair, ragged
+// block tails included (128 TEST points: 128 % 7 = 2, 128 % 64 = 0).
+TEST(Integration, BlockedModelMatchesSequentialScalarHour) {
+  const Dataset ds = test_basin_dataset();
+  const double hour_start = 8.0;
+  const HourlyInputs in =
+      InputGenerator(ds).generate(static_cast<int>(hour_start));
+  ConcentrationField conc = AirshedModel::initial_conditions(ds);
+  Array3<double> pm(kPmComponents, ds.layers(), ds.points(), 0.0);
+  run_hour(ds, in, hour_start, conc, pm, nullptr);
+
+  for (int block : {1, 7, 64}) {
+    for (int threads : {1, 4}) {
+      ModelOptions opts;
+      opts.start_hour = hour_start;
+      opts.hours = 1;
+      opts.host_threads = threads;
+      opts.oversubscribe = true;  // real multi-thread coverage on small hosts
+      opts.kernel.block = block;
+      const ModelRunResult run = AirshedModel(ds, opts).run();
+      EXPECT_EQ(run.outputs.conc, conc)
+          << "block=" << block << " threads=" << threads;
+      EXPECT_EQ(run.outputs.pm, pm)
+          << "block=" << block << " threads=" << threads;
+    }
+  }
+}
+
 TEST(Integration, EmissionControlsReduceInertPollutants) {
   // The motivating use of Airshed (§2.1): evaluate control strategies.
   // Cutting CO emissions must cut ambient CO (CO is long-lived, so the

@@ -1,7 +1,8 @@
 // Tests for the cell-batched SoA kernel engine (airshed::kernel): panel
 // plumbing, bit-identity of every blocked entry point against its scalar
-// oracle (unit level and whole-model level), the bounded rate-cache
-// eviction, and the bench JSON/timing helpers.
+// oracle, the block-commit tripwire on both model grids, the bounded
+// rate-cache eviction, and the bench JSON/timing helpers. The whole-hour
+// oracle (model vs a sequential scalar loop) is in integration_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -702,6 +703,53 @@ TEST(Kernel, OneDimBlockedLayerMatchesScalarBitwise) {
   }
 }
 
+TEST(Kernel, SupgBlockedLayerMatchesScalarBitwise) {
+  const Dataset ds = test_basin_dataset();
+  const TriMesh& mesh = ds.mesh();
+  const std::size_t nv = mesh.vertex_count();
+  SupgTransport scalar_op(mesh), block_op(mesh);
+
+  ConcentrationField ref(kSpeciesCount, 2, nv);
+  for (int s = 0; s < kSpeciesCount; ++s) {
+    for (std::size_t v = 0; v < nv; ++v) {
+      ref(s, 0, v) = 0.02 + 0.001 * s + 1e-4 * static_cast<double>(v % 7);
+      ref(s, 1, v) = 0.01 + 0.002 * s;
+    }
+  }
+  ConcentrationField blk = ref;
+
+  // Spatially varying wind: a swirl plus a drift, so every element sees its
+  // own velocity and the inflow boundary moves around the domain edge.
+  const Point2 c = ds.emissions.domain().center();
+  std::vector<Point2> vel(nv);
+  for (std::size_t v = 0; v < nv; ++v) {
+    const Point2 p = mesh.points()[v];
+    vel[v] = Point2{4.0 - 0.05 * (p.y - c.y), 1.5 + 0.05 * (p.x - c.x)};
+  }
+  std::vector<double> bg(kSpeciesCount);
+  for (int s = 0; s < kSpeciesCount; ++s) {
+    bg[s] = background_ppm(static_cast<Species>(s));
+  }
+
+  const TransportStepResult a =
+      scalar_op.advance_layer(ref, 0, vel, 2.0, 0.25, bg);
+  ASSERT_GT(a.substeps, 0);
+  for (int species_block : {1, 3, 8, kSpeciesCount}) {
+    ConcentrationField trial = blk;
+    const TransportStepResult b = block_op.advance_layer_blocked(
+        trial, 0, vel, 2.0, 0.25, bg, species_block);
+    EXPECT_EQ(b.work_flops, a.work_flops) << "sb=" << species_block;
+    EXPECT_EQ(b.substeps, a.substeps) << "sb=" << species_block;
+    for (int s = 0; s < kSpeciesCount; ++s) {
+      for (std::size_t v = 0; v < nv; ++v) {
+        EXPECT_EQ(trial(s, 0, v), ref(s, 0, v))
+            << "sb=" << species_block << " s=" << s << " v=" << v;
+        EXPECT_EQ(trial(s, 1, v), blk(s, 1, v)) << "other layer touched";
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------ model level
 
 std::uint64_t outputs_checksum(const ModelRunResult& r) {
@@ -724,45 +772,13 @@ std::uint64_t outputs_checksum(const ModelRunResult& r) {
   return h;
 }
 
-ModelOptions kernel_opts(bool blocked, int block, int threads) {
+ModelOptions kernel_opts(int block, int threads) {
   ModelOptions opts;
   opts.hours = 1;
   opts.host_threads = threads;
   opts.oversubscribe = true;  // keep real multi-thread coverage on small hosts
-  opts.kernel.blocked = blocked;
   opts.kernel.block = block;
   return opts;
-}
-
-/// The property at the heart of the engine: every (block, threads)
-/// configuration reproduces the scalar oracle bit for bit, ragged tails
-/// included (702 % 32 = 30, 702 % 64 = 62 on the LA multiscale mesh).
-TEST(Kernel, MultiscaleModelBlockedMatchesScalarAcrossBlocksAndThreads) {
-  const Dataset la = la_basin_dataset();
-  const std::uint64_t oracle =
-      outputs_checksum(AirshedModel(la, kernel_opts(false, 32, 1)).run());
-  for (int block : {1, 7, 32, 64}) {
-    for (int threads : {1, 4, 8}) {
-      const std::uint64_t h = outputs_checksum(
-          AirshedModel(la, kernel_opts(true, block, threads)).run());
-      EXPECT_EQ(h, oracle) << "block=" << block << " threads=" << threads;
-    }
-  }
-}
-
-/// Same property on the uniform-grid model (1600 cells: 1600 % 7 = 4
-/// exercises a ragged tail at block 7).
-TEST(Kernel, UniformModelBlockedMatchesScalarAcrossBlocksAndThreads) {
-  const UniformDataset la = la_uniform_dataset();
-  const std::uint64_t oracle = outputs_checksum(
-      UniformAirshedModel(la, kernel_opts(false, 32, 1)).run());
-  for (int block : {1, 7, 32, 64}) {
-    for (int threads : {1, 4, 8}) {
-      const std::uint64_t h = outputs_checksum(
-          UniformAirshedModel(la, kernel_opts(true, block, threads)).run());
-      EXPECT_EQ(h, oracle) << "block=" << block << " threads=" << threads;
-    }
-  }
 }
 
 // ------------------------------------------------------------- tripwire
@@ -798,30 +814,35 @@ TEST(Kernel, ModelTripwireRaisesTypedErrorOnPoisonedEmissionStack) {
   // validation): it flows through the elevated flux into vertical
   // transport and must be caught at the very block commit that wrote it —
   // hour 0, with the poisoned species named — not hours later as a
-  // mystery NaN.
+  // mystery NaN. Both grids run the same block commit, so both trip.
   DatasetSpec spec = test_basin_spec();
   spec.stacks.push_back(PointSource{spec.domain.center(), 1, Species::SO2,
                                     std::numeric_limits<double>::infinity()});
   const Dataset ds = build_dataset(spec);
+  const UniformDataset uniform = build_uniform_dataset(spec, 10, 10);
 
   ModelOptions opts;
   opts.hours = 1;
-  try {
-    AirshedModel(ds, opts).run();
-    FAIL() << "poisoned stack survived the run";
-  } catch (const kernel::NumericsError& e) {
-    EXPECT_EQ(e.hour(), 0);
-    EXPECT_GE(e.block(), 0);
-    EXPECT_EQ(e.species(), static_cast<int>(Species::SO2));
-  }
+  const auto expect_trip = [](const char* grid, const auto& run) {
+    try {
+      run();
+      ADD_FAILURE() << grid << ": poisoned stack survived the run";
+    } catch (const kernel::NumericsError& e) {
+      EXPECT_EQ(e.hour(), 0) << grid;
+      EXPECT_GE(e.block(), 0) << grid;
+      EXPECT_EQ(e.species(), static_cast<int>(Species::SO2)) << grid;
+    }
+  };
+  expect_trip("multiscale", [&] { AirshedModel(ds, opts).run(); });
+  expect_trip("uniform", [&] { UniformAirshedModel(uniform, opts).run(); });
 
   // The tripwire is free on clean runs: disabling it must not change the
   // committed fields bit-for-bit.
   DatasetSpec clean_spec = test_basin_spec();
   const Dataset clean = build_dataset(clean_spec);
-  ModelOptions on = kernel_opts(true, 32, 2);
+  ModelOptions on = kernel_opts(32, 2);
   on.kernel.tripwire = true;
-  ModelOptions off = kernel_opts(true, 32, 2);
+  ModelOptions off = kernel_opts(32, 2);
   off.kernel.tripwire = false;
   EXPECT_EQ(outputs_checksum(AirshedModel(clean, on).run()),
             outputs_checksum(AirshedModel(clean, off).run()));

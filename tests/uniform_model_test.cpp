@@ -109,6 +109,44 @@ TEST(UniformModel, DoesMoreChemistryWorkThanMultiscalePerPoint) {
   EXPECT_GT(ms_chem_per_hour, 0.0);
 }
 
+// The uniform grid runs the same blocked hour loop as the multiscale
+// model: outputs and the recorded work must not depend on the chemistry
+// block size or the thread count (100 cells: 100 % 7 = 2 and 100 % 64 = 36
+// exercise ragged tails).
+TEST(UniformModel, OutputsInvariantAcrossBlocksAndThreads) {
+  const UniformDataset ds = small_uniform();
+  const auto run = [&](int block, int threads) {
+    ModelOptions opts;
+    opts.hours = 1;
+    opts.host_threads = threads;
+    opts.oversubscribe = true;  // real multi-thread coverage on small hosts
+    opts.kernel.block = block;
+    return UniformAirshedModel(ds, opts).run();
+  };
+  const ModelRunResult ref = run(1, 1);
+  for (int block : {1, 7, 64}) {
+    for (int threads : {1, 4}) {
+      const ModelRunResult r = run(block, threads);
+      EXPECT_EQ(r.outputs.conc, ref.outputs.conc)
+          << "block=" << block << " threads=" << threads;
+      EXPECT_EQ(r.outputs.pm, ref.outputs.pm)
+          << "block=" << block << " threads=" << threads;
+      ASSERT_EQ(r.trace.hours.size(), ref.trace.hours.size());
+      const HourTrace& got = r.trace.hours[0];
+      const HourTrace& want = ref.trace.hours[0];
+      ASSERT_EQ(got.steps.size(), want.steps.size());
+      for (std::size_t j = 0; j < got.steps.size(); ++j) {
+        EXPECT_EQ(got.steps[j].chem_column_work,
+                  want.steps[j].chem_column_work)
+            << "block=" << block << " threads=" << threads << " step=" << j;
+        EXPECT_EQ(got.steps[j].transport1_layer_work,
+                  want.steps[j].transport1_layer_work);
+        EXPECT_EQ(got.steps[j].aerosol_work, want.steps[j].aerosol_work);
+      }
+    }
+  }
+}
+
 TEST(UniformModel, RejectsBadConfig) {
   UniformDataset ds = small_uniform();
   ModelOptions opts;
