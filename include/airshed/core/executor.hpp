@@ -46,9 +46,8 @@ struct ExecutionConfig {
   /// state-dependent per-column chemistry cost (bench/abl_cyclic_chemistry).
   DimDist chemistry_dist = DimDist::Block;
 
-  /// Fault injection schedule; the default (empty) plan takes the exact
-  /// fault-free code path, so zero-fault runs are byte-identical to a
-  /// configuration without a fault layer. Node-failure injection requires
+  /// Fault injection schedule; the default (empty) plan runs the same path
+  /// and charges nothing to Recovery. Node-failure injection requires
   /// Strategy::DataParallel (straggler and message-drop injection work
   /// under both strategies).
   FaultPlan faults{};
@@ -98,7 +97,7 @@ struct RunReport {
   double total_seconds = 0.0;
   RunLedger ledger;   ///< per-category virtual time (sums of phase maxima)
   CommBreakdown comm;
-  RecoveryReport recovery;  ///< resilience accounting (empty when no faults)
+  RecoveryReport recovery;  ///< resilience accounting (zero when no faults)
 
   double speedup_vs(const RunReport& base) const {
     return base.total_seconds / total_seconds;
@@ -132,15 +131,5 @@ HourStageTimes pipeline_stage_times(const WorkTrace& trace,
 double hour_main_seconds(const WorkTrace& trace, std::size_t hour_index,
                          const MachineModel& machine, int nodes,
                          RunLedger* ledger, CommBreakdown* comm);
-
-/// Fault-aware overload: straggler factors inflate the phase maxima (the
-/// inflation is charged to PhaseCategory::Recovery, the nominal time to the
-/// phase's own category) and injected message drops charge retransmissions.
-/// With an empty plan this is identical to the overload above.
-double hour_main_seconds(const WorkTrace& trace, std::size_t hour_index,
-                         const MachineModel& machine, int nodes,
-                         const FaultPlan& faults, const RetryPolicy& retry,
-                         RunLedger* ledger, CommBreakdown* comm,
-                         RecoveryReport* recovery = nullptr);
 
 }  // namespace airshed

@@ -76,15 +76,15 @@ struct FaultModelOptions {
 /// identical faults regardless of evaluation order.
 class FaultPlan {
  public:
-  /// The default plan is empty: no faults, and the executor takes the exact
-  /// fault-free code path (pay-for-what-you-use).
+  /// The default plan is empty: no faults; the executor runs the same path
+  /// and charges nothing to Recovery.
   FaultPlan() = default;
 
   /// Draws a plan for `nodes` nodes over `horizon_hours` simulated hours.
   static FaultPlan make(std::uint64_t seed, int nodes, int horizon_hours,
                         const FaultModelOptions& opts);
 
-  /// True when the plan injects nothing (the zero-fault fast path).
+  /// True when the plan injects nothing.
   bool empty() const {
     return !has_failures() && !has_slowdowns() &&
            opts_.message_drop_probability <= 0.0 &&

@@ -96,28 +96,29 @@ void validate_config(const WorkTrace& trace, const ExecutionConfig& config) {
 
 /// Identity and schedule needed to perturb one hour: `physical` maps the
 /// logical node index of the current decomposition to the physical node id
-/// whose straggler factor applies (null = identity mapping).
+/// whose straggler factor applies (null = identity mapping). An empty plan
+/// perturbs nothing: every slowdown is 1.0 and no phase drops a message.
 struct FaultCtx {
-  const FaultPlan* plan = nullptr;
-  const std::vector<int>* physical = nullptr;
-  int hour = 0;
-  const RetryPolicy* retry = nullptr;
-  RecoveryReport* recovery = nullptr;  ///< straggler/retransmit accumulators
+  const FaultPlan& plan;
+  const std::vector<int>* physical;
+  int hour;
+  const RetryPolicy& retry;
+  RecoveryReport& recovery;  ///< straggler/retransmit accumulators
 };
 
-double node_slowdown(const FaultCtx* f, int logical) {
-  if (!f || !f->plan->has_slowdowns()) return 1.0;
-  const int phys = f->physical
-                       ? (*f->physical)[static_cast<std::size_t>(logical)]
+double node_slowdown(const FaultCtx& f, int logical) {
+  if (!f.plan.has_slowdowns()) return 1.0;
+  const int phys = f.physical
+                       ? (*f.physical)[static_cast<std::size_t>(logical)]
                        : logical;
-  return f->plan->slowdown(f->hour, phys);
+  return f.plan.slowdown(f.hour, phys);
 }
 
 /// Slowest straggler among the first `count` logical nodes (for phases that
 /// run replicated or over uniform units).
-double max_slowdown(const FaultCtx* f, int count) {
+double max_slowdown(const FaultCtx& f, int count) {
   double worst = 1.0;
-  if (!f || !f->plan->has_slowdowns()) return worst;
+  if (!f.plan.has_slowdowns()) return worst;
   for (int i = 0; i < count; ++i) worst = std::max(worst, node_slowdown(f, i));
   return worst;
 }
@@ -134,7 +135,7 @@ struct PhaseMaxima {
 };
 
 PhaseMaxima max_block_work(std::span<const double> work, int nodes,
-                           const FaultCtx* fault, bool want_per_node = false) {
+                           const FaultCtx& fault, bool want_per_node = false) {
   const std::size_t n = work.size();
   const std::size_t bs = (n + nodes - 1) / static_cast<std::size_t>(nodes);
   PhaseMaxima m;
@@ -153,7 +154,7 @@ PhaseMaxima max_block_work(std::span<const double> work, int nodes,
 }
 
 PhaseMaxima max_cyclic_work(std::span<const double> work, int nodes,
-                            const FaultCtx* fault, bool want_per_node = false) {
+                            const FaultCtx& fault, bool want_per_node = false) {
   std::vector<double> acc(static_cast<std::size_t>(nodes), 0.0);
   for (std::size_t i = 0; i < work.size(); ++i) {
     acc[i % static_cast<std::size_t>(nodes)] += work[i];
@@ -171,7 +172,7 @@ PhaseMaxima max_cyclic_work(std::span<const double> work, int nodes,
 }
 
 PhaseMaxima max_distributed_work(std::span<const double> work, int nodes,
-                                 DimDist dist, const FaultCtx* fault,
+                                 DimDist dist, const FaultCtx& fault,
                                  bool want_per_node = false) {
   return dist == DimDist::Cyclic
              ? max_cyclic_work(work, nodes, fault, want_per_node)
@@ -234,7 +235,7 @@ CommTimes plan_comm_times(const WorkTrace& trace, const MachineModel& machine,
 /// layers * R uniform units.
 PhaseMaxima transport_phase_work(std::span<const double> layer_work,
                                  int nodes, std::size_t row_parallelism,
-                                 const FaultCtx* fault,
+                                 const FaultCtx& fault,
                                  bool want_per_node = false) {
   if (row_parallelism <= 1) {
     return max_block_work(layer_work, nodes, fault, want_per_node);
@@ -263,13 +264,13 @@ double hour_main_seconds_impl(const HourTrace& hour,
                               const CommTimes& ct, DimDist chemistry_dist,
                               std::size_t row_parallelism,
                               RunLedger* ledger, CommBreakdown* comm,
-                              const FaultCtx* fault,
+                              const FaultCtx& fault,
                               obs::VirtualTimeline* tl = nullptr,
-                              int hour_no = -1, double tl_offset = 0.0) {
+                              double tl_offset = 0.0) {
   double total = 0.0;
   const bool per_node = tl && tl->per_node;
   auto charge = [&](PhaseCategory cat, const char* name, double seconds) {
-    if (tl) tl->emit(name, cat, -1, hour_no, tl_offset + total, seconds);
+    if (tl) tl->emit(name, cat, -1, fault.hour, tl_offset + total, seconds);
     total += seconds;
     if (ledger) ledger->charge(cat, name, seconds);
   };
@@ -282,13 +283,13 @@ double hour_main_seconds_impl(const HourTrace& hour,
     const double inflation = machine.compute_time(work.inflated - work.nominal);
     if (inflation > 0.0) {
       charge(PhaseCategory::Recovery, "straggler inflation", inflation);
-      if (fault && fault->recovery) fault->recovery->straggler_s += inflation;
+      fault.recovery.straggler_s += inflation;
     }
     if (per_node) {
       // Each node's own busy time inside the barrier (the shared-track
       // span above is the barrier itself, waiting for the maximum).
       for (std::size_t n = 0; n < work.per_node.size(); ++n) {
-        tl->emit(name, cat, static_cast<int>(n), hour_no, start,
+        tl->emit(name, cat, static_cast<int>(n), fault.hour, start,
                  machine.compute_time(work.per_node[n]));
       }
     }
@@ -301,48 +302,40 @@ double hour_main_seconds_impl(const HourTrace& hour,
       comm->*member += phase.seconds;
       ++comm->phases;
     }
-    if (fault) {
-      const int drops = fault->plan->drops(fault->hour, comm_seq);
-      for (int k = 0; k < drops; ++k) {
-        // Each dropped message re-sends once (L + G*b) after a bounded
-        // exponential backoff.
+    const int drops = fault.plan.drops(fault.hour, comm_seq);
+    for (int k = 0; k < drops; ++k) {
+      // Each dropped message re-sends once (L + G*b) after a bounded
+      // exponential backoff.
+      const double backoff =
+          std::min(fault.retry.backoff_base_s * std::ldexp(1.0, k),
+                   fault.retry.backoff_max_s);
+      const double retry_s =
+          backoff + machine.comm_time(1.0, phase.retry_bytes, 0.0);
+      charge(PhaseCategory::Recovery, "retransmission", retry_s);
+      fault.recovery.retransmit_s += retry_s;
+      ++fault.recovery.retransmissions;
+    }
+    if (fault.plan.has_payload_corruption()) {
+      // With payload corruption possible, every delivery is checksummed
+      // (an FNV-1a pass over the received bytes, modeled at the local
+      // copy rate) — the detection cost is paid whenever the class is
+      // enabled, corrupt or not.
+      const double check_s = machine.copy_per_byte_s * phase.verify_bytes;
+      charge(PhaseCategory::Recovery, "payload verify", check_s);
+      fault.recovery.verify_s += check_s;
+      const int bad = fault.plan.payload_corruptions(fault.hour, comm_seq);
+      for (int k = 0; k < bad; ++k) {
+        // A corrupt payload retransmits like a drop, plus the re-checksum
+        // of the retransmitted bytes.
         const double backoff =
-            std::min(fault->retry->backoff_base_s * std::ldexp(1.0, k),
-                     fault->retry->backoff_max_s);
+            std::min(fault.retry.backoff_base_s * std::ldexp(1.0, k),
+                     fault.retry.backoff_max_s);
         const double retry_s =
-            backoff + machine.comm_time(1.0, phase.retry_bytes, 0.0);
-        charge(PhaseCategory::Recovery, "retransmission", retry_s);
-        if (fault->recovery) {
-          fault->recovery->retransmit_s += retry_s;
-          ++fault->recovery->retransmissions;
-        }
-      }
-      if (fault->plan->has_payload_corruption()) {
-        // With payload corruption possible, every delivery is checksummed
-        // (an FNV-1a pass over the received bytes, modeled at the local
-        // copy rate) — the detection cost is paid whenever the class is
-        // enabled, corrupt or not.
-        const double check_s =
-            machine.copy_per_byte_s * phase.verify_bytes;
-        charge(PhaseCategory::Recovery, "payload verify", check_s);
-        if (fault->recovery) fault->recovery->verify_s += check_s;
-        const int bad =
-            fault->plan->payload_corruptions(fault->hour, comm_seq);
-        for (int k = 0; k < bad; ++k) {
-          // A corrupt payload retransmits like a drop, plus the re-checksum
-          // of the retransmitted bytes.
-          const double backoff =
-              std::min(fault->retry->backoff_base_s * std::ldexp(1.0, k),
-                       fault->retry->backoff_max_s);
-          const double retry_s =
-              backoff + machine.comm_time(1.0, phase.retry_bytes, 0.0) +
-              machine.copy_per_byte_s * phase.retry_bytes;
-          charge(PhaseCategory::Recovery, "payload retransmission", retry_s);
-          if (fault->recovery) {
-            fault->recovery->retransmit_s += retry_s;
-            ++fault->recovery->retransmissions;
-          }
-        }
+            backoff + machine.comm_time(1.0, phase.retry_bytes, 0.0) +
+            machine.copy_per_byte_s * phase.retry_bytes;
+        charge(PhaseCategory::Recovery, "payload retransmission", retry_s);
+        fault.recovery.retransmit_s += retry_s;
+        ++fault.recovery.retransmissions;
       }
     }
     ++comm_seq;
@@ -401,22 +394,21 @@ void merge_comm(CommBreakdown& into, const CommBreakdown& from) {
   into.phases += from.phases;
 }
 
-/// A sequential I/O stage runs on one node; a straggling host inflates it.
-/// Returns the actual (inflated) duration and charges nominal + inflation.
-/// Timeline: one span on node 0's track (the node that computes while the
-/// others wait).
-double charge_io_stage(RunLedger& ledger, RecoveryReport* rec,
-                       const char* name, double nominal_s, double slowdown,
-                       obs::VirtualTimeline* tl = nullptr, int hour_no = -1,
-                       double tl_offset = 0.0) {
+/// A sequential I/O stage runs on logical node 0; a straggling host
+/// inflates it. Returns the actual (inflated) duration and charges nominal +
+/// inflation. Timeline: one span on node 0's track (the node that computes
+/// while the others wait).
+double charge_io_stage(RunLedger& ledger, const FaultCtx& fault,
+                       const char* name, double nominal_s,
+                       obs::VirtualTimeline* tl, double tl_offset) {
   ledger.charge(PhaseCategory::IoProcessing, name, nominal_s);
-  const double inflation = nominal_s * (slowdown - 1.0);
+  const double inflation = nominal_s * (node_slowdown(fault, 0) - 1.0);
   if (inflation > 0.0) {
     ledger.charge(PhaseCategory::Recovery, "straggler inflation", inflation);
-    if (rec) rec->straggler_s += inflation;
+    fault.recovery.straggler_s += inflation;
   }
   if (tl) {
-    tl->emit(name, PhaseCategory::IoProcessing, 0, hour_no, tl_offset,
+    tl->emit(name, PhaseCategory::IoProcessing, 0, fault.hour, tl_offset,
              nominal_s + inflation);
   }
   return nominal_s + inflation;
@@ -439,15 +431,16 @@ double shrink_relayout_seconds(const WorkTrace& trace,
       .phase_seconds(machine);
 }
 
-/// Data-parallel execution under an active fault plan: barrier phases with
-/// straggler-inflated maxima, retransmitted drops, hourly checkpoints at
-/// the D_Chem -> D_Repl boundary, and restart-from-checkpoint on node
+/// Data-parallel execution (paper §2.2) under a fault plan: barrier phases
+/// with straggler-inflated maxima, retransmitted drops, hourly checkpoints
+/// at the D_Chem -> D_Repl boundary, and restart-from-checkpoint on node
 /// failure. Charges since the last checkpoint are withheld in an "epoch"
 /// ledger: a failure discards the epoch wholesale and re-charges its time
 /// as Recovery lost work, so report.ledger always decomposes exactly
-/// report.total_seconds.
-RunReport simulate_faulty_data_parallel(const WorkTrace& trace,
-                                        const ExecutionConfig& config) {
+/// report.total_seconds. An empty plan runs the same path and charges
+/// nothing to Recovery: no slowdown, drop, failure or checkpoint.
+RunReport simulate_data_parallel(const WorkTrace& trace,
+                                 const ExecutionConfig& config) {
   const FaultPlan& plan = config.faults;
   const MachineModel& machine = config.machine;
 
@@ -545,21 +538,18 @@ RunReport simulate_faulty_data_parallel(const WorkTrace& trace,
       e.tl.per_node = run_tl->per_node;
       tl = &e.tl;
     }
-    const int hour_no = static_cast<int>(hh);
     const HourTrace& hour = trace.hours[hh];
-    FaultCtx ctx{&plan, &alive, hour_no, &config.retry, &e.rec};
+    const FaultCtx ctx{plan, &alive, static_cast<int>(hh), config.retry,
+                       e.rec};
     e.t_hour = charge_io_stage(
-        e.ledger, &e.rec, "inputhour + pretrans",
-        machine.compute_time(hour.input_work + hour.pretrans_work),
-        node_slowdown(&ctx, 0), tl, hour_no, 0.0);
+        e.ledger, ctx, "inputhour + pretrans",
+        machine.compute_time(hour.input_work + hour.pretrans_work), tl, 0.0);
     e.t_hour += hour_main_seconds_impl(hour, machine, nodes, ct,
                                        config.chemistry_dist,
                                        trace.transport_row_parallelism,
-                                       &e.ledger, &e.comm, &ctx, tl, hour_no,
-                                       e.t_hour);
-    e.t_hour += charge_io_stage(e.ledger, &e.rec, "outputhour",
-                                machine.compute_time(hour.output_work),
-                                node_slowdown(&ctx, 0), tl, hour_no,
+                                       &e.ledger, &e.comm, ctx, tl, e.t_hour);
+    e.t_hour += charge_io_stage(e.ledger, ctx, "outputhour",
+                                machine.compute_time(hour.output_work), tl,
                                 e.t_hour);
     e.valid = true;
   };
@@ -753,6 +743,56 @@ RunReport simulate_faulty_data_parallel(const WorkTrace& trace,
   return report;
 }
 
+/// Per-hour stage durations of the Fig 8 pipeline under a fault plan, with
+/// deterministic subgroup placement: input on node 0, the main group on
+/// nodes 1..main_nodes, output on node main_nodes + 1. Stragglers inflate
+/// each stage's hour durations; drops charge retransmissions into the main
+/// stage. Hours are independent and evaluate concurrently, each into its
+/// own slots; their Recovery counters are summed into `recovery` in hour
+/// order, so the result is bit-identical for every thread count.
+HourStageTimes stage_times(const WorkTrace& trace, const MachineModel& machine,
+                           int main_nodes, DimDist chemistry_dist,
+                           int host_threads, const FaultPlan& plan,
+                           const RetryPolicy& retry,
+                           RecoveryReport& recovery) {
+  if (main_nodes < 1) {
+    throw ConfigError(
+        "pipeline_stage_times: main subgroup needs at least one node (got " +
+        std::to_string(main_nodes) + ")");
+  }
+  std::vector<int> main_phys(static_cast<std::size_t>(main_nodes));
+  std::iota(main_phys.begin(), main_phys.end(), 1);
+  const CommTimes ct =
+      plan_comm_times(trace, machine, main_nodes, chemistry_dist);
+  HourStageTimes st;
+  const std::size_t hours = trace.hours.size();
+  st.input_s.resize(hours);
+  st.main_s.resize(hours);
+  st.output_s.resize(hours);
+  std::vector<RecoveryReport> hour_rec(hours);
+  par::WorkerPool pool(host_threads);
+  pool.for_each(hours, [&](int, std::size_t h) {
+    const HourTrace& hour = trace.hours[h];
+    const int hour_no = static_cast<int>(h);
+    const FaultCtx ctx{plan, &main_phys, hour_no, retry, hour_rec[h]};
+    st.input_s[h] =
+        machine.compute_time(hour.input_work + hour.pretrans_work) *
+        plan.slowdown(hour_no, 0);
+    st.main_s[h] = hour_main_seconds_impl(
+        hour, machine, main_nodes, ct, chemistry_dist,
+        trace.transport_row_parallelism, nullptr, nullptr, ctx);
+    st.output_s[h] = machine.compute_time(hour.output_work) *
+                     plan.slowdown(hour_no, main_nodes + 1);
+  });
+  for (const RecoveryReport& r : hour_rec) {
+    recovery.straggler_s += r.straggler_s;
+    recovery.retransmit_s += r.retransmit_s;
+    recovery.retransmissions += r.retransmissions;
+    recovery.verify_s += r.verify_s;
+  }
+  return st;
+}
+
 }  // namespace
 
 std::string to_string(Strategy s) {
@@ -772,187 +812,43 @@ double hour_main_seconds(const WorkTrace& trace, std::size_t hour_index,
                       std::to_string(nodes) + ")");
   }
   const CommTimes ct = plan_comm_times(trace, machine, nodes, DimDist::Block);
-  return hour_main_seconds_impl(trace.hours[hour_index], machine, nodes, ct,
-                                DimDist::Block,
-                                trace.transport_row_parallelism, ledger, comm,
-                                nullptr);
-}
-
-double hour_main_seconds(const WorkTrace& trace, std::size_t hour_index,
-                         const MachineModel& machine, int nodes,
-                         const FaultPlan& faults, const RetryPolicy& retry,
-                         RunLedger* ledger, CommBreakdown* comm,
-                         RecoveryReport* recovery) {
-  if (faults.empty()) {
-    return hour_main_seconds(trace, hour_index, machine, nodes, ledger, comm);
-  }
-  AIRSHED_REQUIRE(hour_index < trace.hours.size(), "hour index out of range");
-  if (nodes < 1) {
-    throw ConfigError("hour_main_seconds: nodes must be >= 1 (got " +
-                      std::to_string(nodes) + ")");
-  }
-  if (faults.nodes() < nodes) {
-    throw ConfigError("FaultPlan covers " + std::to_string(faults.nodes()) +
-                      " nodes but hour_main_seconds was asked for " +
-                      std::to_string(nodes));
-  }
-  const CommTimes ct = plan_comm_times(trace, machine, nodes, DimDist::Block);
-  FaultCtx ctx{&faults, nullptr, static_cast<int>(hour_index), &retry,
-               recovery};
-  return hour_main_seconds_impl(trace.hours[hour_index], machine, nodes, ct,
-                                DimDist::Block,
-                                trace.transport_row_parallelism, ledger, comm,
-                                &ctx);
+  const FaultPlan none;
+  const RetryPolicy retry;
+  RecoveryReport unused;
+  return hour_main_seconds_impl(
+      trace.hours[hour_index], machine, nodes, ct, DimDist::Block,
+      trace.transport_row_parallelism, ledger, comm,
+      FaultCtx{none, nullptr, static_cast<int>(hour_index), retry, unused});
 }
 
 HourStageTimes pipeline_stage_times(const WorkTrace& trace,
                                     const MachineModel& machine,
                                     int main_nodes, DimDist chemistry_dist,
                                     int host_threads) {
-  if (main_nodes < 1) {
-    throw ConfigError(
-        "pipeline_stage_times: main subgroup needs at least one node (got " +
-        std::to_string(main_nodes) + ")");
-  }
-  const CommTimes ct =
-      plan_comm_times(trace, machine, main_nodes, chemistry_dist);
-  HourStageTimes st;
-  const std::size_t hours = trace.hours.size();
-  st.input_s.resize(hours);
-  st.main_s.resize(hours);
-  st.output_s.resize(hours);
-  // Per-hour stage durations are independent; each hour writes only its
-  // own three slots.
-  par::WorkerPool pool(host_threads);
-  pool.for_each(hours, [&](int, std::size_t h) {
-    const HourTrace& hour = trace.hours[h];
-    st.input_s[h] = machine.compute_time(hour.input_work + hour.pretrans_work);
-    st.main_s[h] = hour_main_seconds_impl(
-        hour, machine, main_nodes, ct, chemistry_dist,
-        trace.transport_row_parallelism, nullptr, nullptr, nullptr);
-    st.output_s[h] = machine.compute_time(hour.output_work);
-  });
-  return st;
+  RecoveryReport unused;
+  return stage_times(trace, machine, main_nodes, chemistry_dist, host_threads,
+                     FaultPlan{}, RetryPolicy{}, unused);
 }
 
 RunReport simulate_execution(const WorkTrace& trace,
                              const ExecutionConfig& config) {
   validate_config(trace, config);
+  if (config.strategy == Strategy::DataParallel) {
+    return simulate_data_parallel(trace, config);
+  }
 
+  // Task + data parallel: 3-stage pipeline on disjoint subgroups (Fig 8).
+  // validate_config already rejected failure plans here.
   RunReport report;
   report.machine = config.machine.name;
   report.nodes = config.nodes;
   report.strategy = config.strategy;
-
-  const bool faulty = !config.faults.empty();
-
-  if (config.strategy == Strategy::DataParallel) {
-    if (faulty) return simulate_faulty_data_parallel(trace, config);
-    const CommTimes ct = plan_comm_times(trace, config.machine, config.nodes,
-                                         config.chemistry_dist);
-    // Fault-free hours are independent given the node count: evaluate them
-    // concurrently into per-hour slots, then reduce in hour order on this
-    // thread. total_seconds keeps the serial loop's exact scalar
-    // accumulation order (io_in, main, io_out per hour), so the report is
-    // bit-identical at every thread count.
-    struct PlainHourEval {
-      double io_in = 0.0;
-      double main_s = 0.0;
-      double io_out = 0.0;
-      RunLedger ledger;
-      CommBreakdown comm;
-      obs::VirtualTimeline tl;  ///< hour-local spans, offsets from hour start
-    };
-    std::vector<PlainHourEval> evals(trace.hours.size());
-    par::WorkerPool pool(config.host_threads);
-    pool.for_each(trace.hours.size(), [&](int, std::size_t h) {
-      const HourTrace& hour = trace.hours[h];
-      const int hour_no = static_cast<int>(h);
-      PlainHourEval& e = evals[h];
-      obs::VirtualTimeline* tl = nullptr;
-      if (config.timeline) {
-        e.tl.per_node = config.timeline->per_node;
-        tl = &e.tl;
-      }
-      e.io_in =
-          config.machine.compute_time(hour.input_work + hour.pretrans_work);
-      e.ledger.charge(PhaseCategory::IoProcessing, "inputhour + pretrans",
-                      e.io_in);
-      if (tl) {
-        tl->emit("inputhour + pretrans", PhaseCategory::IoProcessing, 0,
-                 hour_no, 0.0, e.io_in);
-      }
-      e.main_s = hour_main_seconds_impl(hour, config.machine, config.nodes, ct,
-                                        config.chemistry_dist,
-                                        trace.transport_row_parallelism,
-                                        &e.ledger, &e.comm, nullptr, tl,
-                                        hour_no, e.io_in);
-      e.io_out = config.machine.compute_time(hour.output_work);
-      e.ledger.charge(PhaseCategory::IoProcessing, "outputhour", e.io_out);
-      if (tl) {
-        tl->emit("outputhour", PhaseCategory::IoProcessing, 0, hour_no,
-                 e.io_in + e.main_s, e.io_out);
-      }
-    });
-    double total = 0.0;
-    for (PlainHourEval& e : evals) {
-      if (config.timeline) config.timeline->append(std::move(e.tl), total);
-      total += e.io_in;
-      total += e.main_s;
-      total += e.io_out;
-      report.ledger.merge(e.ledger);
-      merge_comm(report.comm, e.comm);
-    }
-    report.total_seconds = total;
-    return report;
-  }
-
-  // Task + data parallel: 3-stage pipeline on disjoint subgroups (Fig 8).
   const PipelineAllocation alloc = allocate_pipeline_nodes(config.nodes);
-  HourStageTimes st;
-  if (!faulty) {
-    st = pipeline_stage_times(trace, config.machine, alloc.main_nodes,
-                              config.chemistry_dist, config.host_threads);
-  } else {
-    // Deterministic subgroup placement: input on node 0, the main group on
-    // nodes 1..main, output on the last node. Stragglers inflate each
-    // stage's hour durations; drops charge retransmissions into the main
-    // stage (validate_config already rejected failure plans here). Hours
-    // evaluate concurrently into per-hour RecoveryReports, merged in hour
-    // order below.
-    std::vector<int> main_phys(static_cast<std::size_t>(alloc.main_nodes));
-    std::iota(main_phys.begin(), main_phys.end(), 1);
-    const CommTimes ct = plan_comm_times(trace, config.machine,
-                                         alloc.main_nodes,
-                                         config.chemistry_dist);
-    const std::size_t hours = trace.hours.size();
-    st.input_s.resize(hours);
-    st.main_s.resize(hours);
-    st.output_s.resize(hours);
-    std::vector<RecoveryReport> hour_rec(hours);
-    par::WorkerPool pool(config.host_threads);
-    pool.for_each(hours, [&](int, std::size_t h) {
-      const HourTrace& hour = trace.hours[h];
-      FaultCtx ctx{&config.faults, &main_phys, static_cast<int>(h),
-                   &config.retry, &hour_rec[h]};
-      st.input_s[h] =
-          config.machine.compute_time(hour.input_work + hour.pretrans_work) *
-          config.faults.slowdown(static_cast<int>(h), 0);
-      st.main_s[h] = hour_main_seconds_impl(
-          hour, config.machine, alloc.main_nodes, ct, config.chemistry_dist,
-          trace.transport_row_parallelism, nullptr, nullptr, &ctx);
-      st.output_s[h] =
-          config.machine.compute_time(hour.output_work) *
-          config.faults.slowdown(static_cast<int>(h), config.nodes - 1);
-    });
-    for (const RecoveryReport& r : hour_rec) {
-      report.recovery.straggler_s += r.straggler_s;
-      report.recovery.retransmit_s += r.retransmit_s;
-      report.recovery.retransmissions += r.retransmissions;
-      report.recovery.verify_s += r.verify_s;
-    }
-    report.recovery.final_nodes = config.nodes;
-  }
+  const HourStageTimes st =
+      stage_times(trace, config.machine, alloc.main_nodes,
+                  config.chemistry_dist, config.host_threads, config.faults,
+                  config.retry, report.recovery);
+  report.recovery.final_nodes = config.nodes;
   report.total_seconds =
       pipeline_makespan({st.input_s, st.main_s, st.output_s});
   // On small machines, giving up two main-loop nodes costs more than the

@@ -254,17 +254,35 @@ TEST(HostParallelExecutor, FaultFreeReportsBitIdentical) {
 }
 
 TEST(HostParallelExecutor, FaultReplayBitIdentical) {
-  ExecutionConfig cfg;
-  cfg.machine = intel_paragon();
-  cfg.nodes = 16;
-  cfg.faults =
-      failing_plan(16, static_cast<int>(shared_trace().hours.size()));
-  cfg.host_threads = 1;
-  const RunReport base = simulate_execution(shared_trace(), cfg);
-  EXPECT_FALSE(base.recovery.failures.empty());
-  for (int threads : {2, 8}) {
-    cfg.host_threads = threads;
-    expect_identical_reports(base, simulate_execution(shared_trace(), cfg));
+  const int hours = static_cast<int>(shared_trace().hours.size());
+  ExecutionConfig failing;
+  failing.machine = intel_paragon();
+  failing.nodes = 16;
+  failing.faults = failing_plan(16, hours);
+  // The pipelined stage loop under stragglers and drops (node failures
+  // require the data-parallel strategy).
+  FaultModelOptions fopts;
+  fopts.slowdown_probability = 0.2;
+  fopts.message_drop_probability = 0.05;
+  ExecutionConfig pipelined = failing;
+  pipelined.nodes = 8;
+  pipelined.strategy = Strategy::TaskAndDataParallel;
+  pipelined.faults = FaultPlan::make(7, 8, hours, fopts);
+  for (ExecutionConfig cfg : {failing, pipelined}) {
+    cfg.host_threads = 1;
+    const RunReport base = simulate_execution(shared_trace(), cfg);
+    if (cfg.strategy == Strategy::DataParallel) {
+      EXPECT_FALSE(base.recovery.failures.empty());
+    } else {
+      // The pipeline, not the folded-back data-parallel schedule, won.
+      EXPECT_EQ(base.comm.phases, 0);
+      EXPECT_GT(base.recovery.straggler_s, 0.0);
+      EXPECT_GT(base.recovery.retransmissions, 0);
+    }
+    for (int threads : {2, 8}) {
+      cfg.host_threads = threads;
+      expect_identical_reports(base, simulate_execution(shared_trace(), cfg));
+    }
   }
 }
 
