@@ -2,18 +2,19 @@
 //
 // Measures wall clock of the blocked engine on both LA models (multiscale
 // SUPG and uniform van Leer), sweeping host threads {1, 4, 8} and — in
-// full mode — the cell block size {8, 16, 32, 64} at one thread. The
-// reference row is LaneMode::strict at the default block on one thread;
-// speedups are against it. Every "strict" row must reproduce its checksum
-// (FNV-1a over the final fields, hourly statistics and the full
-// WorkTrace) — strict is bit-identical to the scalar kernels by the kernel
-// and integration tests, so one checksum covers every block size and
-// thread count. The "tolerance" row (FMA-contracted SIMD kernels, default
-// block, 1 thread) is instead held to a maximum relative error against the
-// strict fields (docs/BENCHMARKS.md documents the bound). The bench exits
-// non-zero ONLY on a strict checksum mismatch or a tolerance bound
-// violation, never on a slow run, so the CI perf-smoke job stays
-// non-gating on timing.
+// full mode — the panel cap (kernel.block) at one thread: {8, 16, 32, 64},
+// then each power of two past 64 between its neighbours (120/128/136,
+// 248/256/264) next to the default. The reference row is LaneMode::strict
+// at the default block on one thread; speedups are against it. Every
+// "strict" row must reproduce its checksum (FNV-1a over the final fields,
+// hourly statistics and the full WorkTrace) — strict is bit-identical to
+// the scalar kernels by the kernel and integration tests, so one checksum
+// covers every block size and thread count. The "tolerance" row
+// (FMA-contracted SIMD kernels, default block, 1 thread) is instead held
+// to a maximum relative error against the strict fields
+// (docs/BENCHMARKS.md documents the bound). The bench exits non-zero ONLY
+// on a strict checksum mismatch or a tolerance bound violation, never on a
+// slow run, so the CI perf-smoke job stays non-gating on timing.
 //
 // Timing protocol: one untimed warmup then `repeats` timed runs; the
 // JSON records median, min and the raw samples (bench_common
@@ -174,7 +175,8 @@ int main(int argc, char** argv) {
   const std::vector<int> thread_counts =
       smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 4, 8};
   const std::vector<int> block_sweep =
-      smoke ? std::vector<int>{} : std::vector<int>{8, 16, 32, 64};
+      smoke ? std::vector<int>{}
+            : std::vector<int>{8, 16, 32, 64, 120, 128, 136, 248, 256, 264};
   const int warmup = smoke ? 0 : 1;
   const int repeats = smoke ? 1 : 3;
   const int cores = par::hardware_threads();

@@ -195,6 +195,10 @@ class YoungBorisSolver {
   long long block_rounds() const { return block_rounds_; }
   /// Accepted chemistry substeps, both paths, over the solver's lifetime.
   long long substeps_total() const { return substeps_total_; }
+  /// Scratch arena of the blocked path: one slab sized exactly on the
+  /// first integrate_block call, reused by every later call whose panel
+  /// stride is no wider.
+  const kernel::Arena& block_arena() const { return arena_; }
 
  private:
   void load_rates(double temp_k, double sun);
@@ -209,7 +213,7 @@ class YoungBorisSolver {
   // Scratch (sized in ctor, reused across calls).
   std::vector<double> rates_, p0_, l0_, p1_, l1_, cp_, cn_;
   // Blocked-path scratch: panel arena plus per-lane control state (sized on
-  // first integrate_block call, reused afterwards).
+  // the first integrate_block call, reused afterwards).
   kernel::Arena arena_;
   // Lane masks are doubles holding 0.0/1.0: the dense blend loops compare
   // them against 0.0, which keeps the whole loop at one 64-bit vector

@@ -67,6 +67,11 @@ struct HostProfile {
   long long lane_evals_live = 0;
   long long block_rounds = 0;   ///< lockstep rounds of the blocked solver
   long long chem_substeps = 0;  ///< accepted chemistry substeps (all cells)
+  /// Load balance of the chemistry column cuts: the busiest thread's
+  /// chem_column_work summed over steps, over the mean thread's, under the
+  /// cuts each step actually used (1 = perfect). Built from flop counts,
+  /// so it is identical across repeats; 0 when no chemistry step ran.
+  double chem_cut_imbalance = 0.0;
 };
 
 /// Warm per-run solver state that survives between model runs (the

@@ -16,6 +16,8 @@
 // the reference oracle; results match bit for bit at every block size.
 #pragma once
 
+#include <sys/mman.h>
+
 #include <cmath>
 #include <cstddef>
 #include <memory>
@@ -54,29 +56,51 @@ constexpr std::size_t padded_lanes(std::size_t width) {
 #define AIRSHED_LANE_CLONES
 #endif
 
+/// Aligned buffers of at least this many bytes map their own pages
+/// (mmap/munmap) instead of going through malloc. glibc raises its dynamic
+/// mmap threshold to the size of every mapped chunk it frees, so slabs
+/// freed at the end of each run (solver scratch of a batch attempt) would
+/// otherwise come back from a heap that never shrinks.
+inline constexpr std::size_t kMapBytes = std::size_t{64} << 10;
+
 namespace detail {
 struct AlignedDelete {
+  std::size_t bytes = 0;
   void operator()(double* p) const noexcept {
-    ::operator delete[](p, std::align_val_t{kAlign});
+    if (bytes >= kMapBytes) {
+      ::munmap(p, bytes);
+    } else {
+      ::operator delete[](p, std::align_val_t{kAlign});
+    }
   }
 };
 }  // namespace detail
 
 using AlignedBuffer = std::unique_ptr<double[], detail::AlignedDelete>;
 
-/// Allocates `count` doubles on a kAlign boundary (uninitialized).
+/// Allocates `count` doubles on a kAlign boundary (uninitialized, or
+/// zero-filled pages when the buffer is mapped).
 inline AlignedBuffer aligned_doubles(std::size_t count) {
-  return AlignedBuffer(static_cast<double*>(
-      ::operator new[](count * sizeof(double), std::align_val_t{kAlign})));
+  const std::size_t bytes = count * sizeof(double);
+  if (bytes >= kMapBytes) {
+    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return AlignedBuffer(static_cast<double*>(p), detail::AlignedDelete{bytes});
+  }
+  return AlignedBuffer(
+      static_cast<double*>(::operator new[](bytes, std::align_val_t{kAlign})),
+      detail::AlignedDelete{bytes});
 }
 
 /// Bump allocator over 64-byte-aligned slabs: the reusable scratch arena
 /// behind the blocked solvers. Allocation requests round up to kLaneRound
-/// doubles (keeping every returned pointer aligned); reset() rewinds to
-/// empty without releasing memory, so after the first time step the hot
-/// loop never touches the system allocator. Pointers stay valid until the
-/// next reset() even if the arena grows mid-use (growth adds a slab, it
-/// never moves existing ones).
+/// doubles (keeping every returned pointer aligned); reset() and reserve()
+/// rewind to empty without releasing memory, so after the first time step
+/// the hot loop never touches the system allocator. A caller that knows
+/// its footprint reserves it, and the arena is one exact slab; otherwise
+/// pointers stay valid until the next rewind even if the arena grows
+/// mid-use (growth adds a slab, it never moves existing ones).
 class Arena {
  public:
   Arena() = default;
@@ -104,6 +128,22 @@ class Arena {
     current_ = 0;
     used_ = 0;
   }
+
+  /// Rewinds to empty and makes one slab hold `count` doubles: an arena
+  /// that is smaller, or split over several slabs, is replaced by a single
+  /// slab of exactly `count` (rounded like alloc). A larger single slab is
+  /// kept, so reserving the same or a smaller footprint never allocates.
+  void reserve(std::size_t count) {
+    count = padded_lanes(count);
+    if (slabs_.size() != 1 || slabs_[0].doubles < count) {
+      slabs_.clear();
+      slabs_.push_back(Slab{aligned_doubles(count), count});
+    }
+    current_ = 0;
+    used_ = 0;
+  }
+
+  std::size_t slabs() const { return slabs_.size(); }
 
   std::size_t capacity() const {
     std::size_t total = 0;
@@ -213,7 +253,11 @@ class CellBlock {
 /// NumericalError (a convergence failure inside one integrator), this names
 /// exactly where poisoned state entered the committed field — (hour, block,
 /// species, cell) — so a batch supervisor can quarantine the one scenario
-/// instead of debugging a NaN that surfaced hours later.
+/// instead of debugging a NaN that surfaced hours later. In the model,
+/// block() is the ordinal of the chemistry panel in column order; panel
+/// borders move with the thread count and the panel cap, so cell() (the
+/// grid point) is the locator to key on: when one grid point is poisoned
+/// it names that point at every thread count and cap.
 class NumericsError : public NumericalError {
  public:
   NumericsError(int hour, int block, int species, std::size_t cell)
@@ -277,11 +321,15 @@ enum class LaneMode {
 /// reference at every block size and thread count, so the knobs only trade
 /// speed; LaneMode::tolerance trades a bounded relative error for more.
 struct KernelOptions {
-  /// Cells per chemistry/vertical block (lanes of the SoA panels). 64 is
-  /// the measured sweet spot on the reference host (see
-  /// BENCH_kernel_soa.json): wide enough to amortize per-round control
-  /// overhead, small enough that the hot panels stay cache-resident.
-  int block = 64;
+  /// Panel cap: the most columns one chemistry/vertical SoA panel holds
+  /// (its lane count; the panel stride is this rounded up to kLaneRound).
+  /// Each pool thread integrates its column range as near-equal panels of
+  /// at most this width. 200 is measured (BENCH_kernel_soa.json): wider
+  /// panels amortize per-round control overhead, and a lane stride that is
+  /// a power of two (128, 256) runs 9-41% slower than its neighbours
+  /// (120/136, 248/264), consistent with the species rows of a panel
+  /// aliasing onto a few cache sets.
+  int block = 200;
   /// Species per transport inner block (amortizes element/line loads).
   int species_block = 8;
   /// Detect NaN/Inf at chemistry block commit (check_block_finite) and

@@ -29,6 +29,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -45,6 +46,16 @@ int env_threads();
 /// Resolves a requested thread count: `requested` > 0 wins, then
 /// AIRSHED_THREADS, then hardware concurrency. Always >= 1.
 int resolve_threads(int requested);
+
+/// Chunk borders splitting [0, weights.size()) into `parts` contiguous
+/// ranges of near-equal total weight: part t is [cuts[t], cuts[t + 1]),
+/// cuts.front() == 0, cuts.back() == weights.size(), never decreasing
+/// (a part may be empty). Border t sits at the prefix sum nearest to
+/// t/parts of the total (ties go to the lower index). Empty, all-zero,
+/// negative or non-finite weights fall back to equal counts, the split
+/// for_blocks uses. Pure: the same weights always give the same cuts.
+std::vector<std::size_t> balanced_cuts(std::span<const double> weights,
+                                       int parts);
 
 /// Fixed-size pool of host worker threads with a deterministic
 /// blocked parallel-for. The calling thread participates as thread 0;

@@ -328,7 +328,9 @@ void YoungBorisSolver::integrate_block_ops(kernel::CellBlock& cells,
   // masking changes which lanes are *processed*, never what any processed
   // lane computes.
   const std::size_t nr = mech_->reaction_count();
-  arena_.reset();
+  // One exact slab: the rate panel, seven species panels and five lane
+  // rows (L is a whole number of lane rounds, so nothing pads).
+  arena_.reserve((nr + 7 * n + 5) * L);
   double* kp = arena_.alloc(nr * L);
   double* cw = arena_.alloc(n * L);
   double* p0 = arena_.alloc(n * L);

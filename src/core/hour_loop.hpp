@@ -36,8 +36,9 @@
 namespace airshed::detail {
 
 /// Per-thread scratch of the blocked chemistry + vertical phase: the cell
-/// panel plus the per-lane side arrays, sized once per run (allocation
-/// never happens inside the hour loop).
+/// panel (kernel.block lanes, the panel cap) plus the per-lane side
+/// arrays, sized once per run (allocation never happens inside the hour
+/// loop).
 struct ChemBlockScratch {
   explicit ChemBlockScratch(int block)
       : cells(kSpeciesCount, block),
@@ -139,7 +140,7 @@ ModelRunResult run_hour_loop(Grid& grid, const ModelOptions& opts,
   AerosolModule aerosol;
 
   // Virtual-node kernels run pooled over host threads: transport over
-  // layers, chemistry + vertical transport over blocks of columns.
+  // layers, chemistry + vertical transport over column ranges.
   const auto setup_start = std::chrono::steady_clock::now();
   int requested = par::resolve_threads(opts.host_threads);
   if (!opts.oversubscribe) {
@@ -191,6 +192,12 @@ ModelRunResult run_hour_loop(Grid& grid, const ModelOptions& opts,
     deposition[s] = deposition_velocity_ms(static_cast<Species>(s));
   }
   const double lapse = grid.met().params().lapse_k_per_layer;
+  // The previous chemistry step's chem_column_work, which cuts this step's
+  // column ranges; all zero (equal counts) on a run's first step.
+  std::vector<double> prev_column_work(nv, 0.0);
+  // Busiest-thread and mean-thread chemistry work under the cuts used,
+  // summed over steps (HostProfile::chem_cut_imbalance).
+  double cut_work_max = 0.0, cut_work_mean = 0.0;
 
   for (int h = first_hour; h < opts.hours; ++h) {
     const double hour_start = opts.start_hour + h;
@@ -242,20 +249,23 @@ ModelRunResult run_hour_loop(Grid& grid, const ModelOptions& opts,
       const double sun = grid.met().photolysis_factor(t_mid);
       const double dt_min = dt_hours * 60.0;
       {
-        // Contiguous runs of columns gather into SoA panels; a block is
-        // owned by one thread and one output range, so the airshed::par
-        // fixed-block contract holds and results stay bit-identical at
-        // every thread count and block size.
+        // Thread t owns one contiguous column range, cut at equal shares of
+        // the previous step's chem_column_work (equal counts on a run's
+        // first step), and integrates it as near-equal SoA panels of at
+        // most kernel.block columns. The cuts come from flop counts, not
+        // timings, and no lane's arithmetic depends on its panel or owner,
+        // so results stay bit-identical at every thread count and cap.
         PhaseTimer timer(prof ? &prof->chemistry_s : nullptr);
         obs::ObsSpan phase(rec, 0, "chemistry Lcz", PhaseCategory::Chemistry,
                            h);
         pool.set_phase("chemistry Lcz", PhaseCategory::Chemistry, h);
-        const std::size_t nblocks = (nv + cell_block - 1) / cell_block;
-        pool.for_each(nblocks, [&](int t, std::size_t blk) {
+        // One panel: columns [v0, v0 + bw) gather into an SoA panel layer
+        // by layer, then vertical transport runs on them. `ordinal` is the
+        // panel's index in column order.
+        const auto chem_panel = [&](int t, std::size_t v0, std::size_t bw,
+                                    int ordinal) {
           obs::ObsSpan block(rec, t, "chem block", PhaseCategory::Chemistry, h);
           ChemBlockScratch& scr = chem_scratch[t];
-          const std::size_t v0 = blk * cell_block;
-          const std::size_t bw = std::min(cell_block, nv - v0);
           for (std::size_t i = 0; i < bw; ++i) scr.colwork[i] = 0.0;
           for (int k = 0; k < nl; ++k) {
             scr.cells.gather(conc, static_cast<std::size_t>(k), v0,
@@ -287,16 +297,51 @@ ModelRunResult run_hour_loop(Grid& grid, const ModelOptions& opts,
           const VerticalStepResult vr = vert[t].advance_columns(
               conc, v0, bw, in.kz_m2s, in.surface_flux, deposition,
               std::span<const double* const>(scr.elev.data(), bw), dt_min);
-          // Block commit: everything this block writes (chemistry scatter +
+          // Panel commit: everything this panel writes (chemistry scatter +
           // vertical transport) is now in the field — last chance to catch
           // poisoned state where it entered rather than hours downstream.
           if (ko.tripwire) {
-            kernel::check_block_finite(conc, v0, bw, h, static_cast<int>(blk));
+            kernel::check_block_finite(conc, v0, bw, h, ordinal);
           }
           for (std::size_t i = 0; i < bw; ++i) {
             step.chem_column_work[v0 + i] = scr.colwork[i] + vr.work_flops;
           }
-        });
+        };
+        const std::vector<std::size_t> cuts =
+            par::balanced_cuts(prev_column_work, nthreads);
+        const auto panels = [&](int t) {
+          const std::size_t len = cuts[t + 1] - cuts[t];
+          return (len + cell_block - 1) / cell_block;
+        };
+        std::vector<std::size_t> first_panel(cuts.size(), 0);
+        for (int t = 0; t < nthreads; ++t) {
+          first_panel[t + 1] = first_panel[t] + panels(t);
+        }
+        pool.for_blocks(static_cast<std::size_t>(nthreads),
+                        [&](int t, std::size_t, std::size_t) {
+                          const std::size_t c0 = cuts[t];
+                          const std::size_t len = cuts[t + 1] - c0;
+                          const std::size_t np = panels(t);
+                          for (std::size_t p = 0; p < np; ++p) {
+                            const std::size_t v0 = c0 + len * p / np;
+                            chem_panel(t, v0, c0 + len * (p + 1) / np - v0,
+                                       static_cast<int>(first_panel[t] + p));
+                          }
+                        });
+        if (prof) {
+          double busiest = 0.0, sum = 0.0;
+          for (int t = 0; t < nthreads; ++t) {
+            double w = 0.0;
+            for (std::size_t v = cuts[t]; v < cuts[t + 1]; ++v) {
+              w += step.chem_column_work[v];
+            }
+            busiest = std::max(busiest, w);
+            sum += w;
+          }
+          cut_work_max += busiest;
+          cut_work_mean += sum / nthreads;
+        }
+        prev_column_work = step.chem_column_work;
       }
 
       // ---- Aerosol (sequential, replicated) ------------------------------
@@ -336,6 +381,9 @@ ModelRunResult run_hour_loop(Grid& grid, const ModelOptions& opts,
 
   if (prof) {
     prof->thread_busy_s = pool.busy_seconds();
+    if (cut_work_mean > 0.0) {
+      prof->chem_cut_imbalance = cut_work_max / cut_work_mean;
+    }
     for (int t = 0; t < nthreads; ++t) {
       const SolverCounters now = SolverCounters::of(chem[t].scalar());
       const SolverCounters& was = counters0[static_cast<std::size_t>(t)];

@@ -139,6 +139,12 @@ void record_metrics(obs::MetricsRegistry& registry,
       .inc(profile.block_rounds);
   registry.counter("chem/substeps", "accepted chemistry substeps")
       .inc(profile.chem_substeps);
+  if (profile.chem_cut_imbalance > 0.0) {
+    registry
+        .gauge("chem/cut_imbalance",
+               "busiest / mean thread chemistry work under the column cuts")
+        .set(profile.chem_cut_imbalance);
+  }
   if (profile.lane_evals_dense > 0) {
     registry
         .gauge("chem/lanes/occupancy",

@@ -1,5 +1,7 @@
 #include "airshed/par/pool.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <ctime>
 
@@ -41,6 +43,38 @@ int resolve_threads(int requested) {
   if (requested > 0) return requested;
   if (const int e = env_threads(); e > 0) return e;
   return hardware_threads();
+}
+
+std::vector<std::size_t> balanced_cuts(std::span<const double> weights,
+                                       int parts) {
+  AIRSHED_REQUIRE(parts >= 1, "balanced_cuts needs at least one part");
+  const std::size_t n = weights.size();
+  const std::size_t P = static_cast<std::size_t>(parts);
+  std::vector<std::size_t> cuts(P + 1);
+  // prefix[i] = weights[0] + ... + weights[i - 1], summed in index order.
+  std::vector<double> prefix(n + 1, 0.0);
+  bool valid = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    valid = valid && std::isfinite(weights[i]) && weights[i] >= 0.0;
+    prefix[i + 1] = prefix[i] + weights[i];
+  }
+  const double total = prefix[n];
+  if (!valid || !std::isfinite(total) || total <= 0.0) {
+    for (std::size_t t = 0; t <= P; ++t) cuts[t] = n * t / P;
+    return cuts;
+  }
+  cuts[P] = n;
+  for (std::size_t t = 1; t < P; ++t) {
+    const double target =
+        total * static_cast<double>(t) / static_cast<double>(P);
+    // First border at or past the target, or the one before it if nearer.
+    std::size_t i = static_cast<std::size_t>(
+        std::lower_bound(prefix.begin(), prefix.end(), target) -
+        prefix.begin());
+    if (i > 0 && target - prefix[i - 1] <= prefix[i] - target) --i;
+    cuts[t] = std::max(cuts[t - 1], i);
+  }
+  return cuts;
 }
 
 WorkerPool::WorkerPool(int threads) : threads_(resolve_threads(threads)) {

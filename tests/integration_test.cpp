@@ -9,9 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "airshed/aerosol/aerosol.hpp"
+#include "airshed/city/generator.hpp"
+#include "airshed/city/options.hpp"
 #include "airshed/core/model.hpp"
+#include "airshed/core/report.hpp"
 #include "airshed/dist/airshed_layouts.hpp"
 #include "airshed/emis/emissions.hpp"
 #include "airshed/io/dataset.hpp"
@@ -157,7 +165,8 @@ INSTANTIATE_TEST_SUITE_P(NodeCounts, DistributedEquivalenceSweep,
 // The model-level oracle: AirshedModel runs every phase through the
 // blocked SoA kernels on a worker pool, and must reproduce the sequential
 // scalar loop above bit for bit at every (block, threads) pair, ragged
-// block tails included (128 TEST points: 128 % 7 = 2, 128 % 64 = 0).
+// panel tails included (128 TEST points: 128 % 7 = 2, 128 % 64 = 0; the
+// default cap takes each thread's range as one panel).
 TEST(Integration, BlockedModelMatchesSequentialScalarHour) {
   const Dataset ds = test_basin_dataset();
   const double hour_start = 8.0;
@@ -167,7 +176,7 @@ TEST(Integration, BlockedModelMatchesSequentialScalarHour) {
   Array3<double> pm(kPmComponents, ds.layers(), ds.points(), 0.0);
   run_hour(ds, in, hour_start, conc, pm, nullptr);
 
-  for (int block : {1, 7, 64}) {
+  for (int block : {1, 7, 64, kernel::KernelOptions{}.block}) {
     for (int threads : {1, 4}) {
       ModelOptions opts;
       opts.start_hour = hour_start;
@@ -182,6 +191,149 @@ TEST(Integration, BlockedModelMatchesSequentialScalarHour) {
           << "block=" << block << " threads=" << threads;
     }
   }
+}
+
+// Chemistry runs each thread's balanced column range as near-equal panels
+// of at most kernel.block columns. Panel borders move with the thread
+// count, the cap and the previous step's column work, and none of that may
+// reach a result: the fields, the whole WorkTrace and the accepted substep
+// count are bit-identical across threads {1,2,3,4} x caps {1,7,64,default},
+// on the TEST basin and on the core-concentrated city:seed=2 mesh. One
+// instance per (mesh, cap) keeps each ctest entry short.
+Dataset panel_sweep_dataset(const std::string& name) {
+  if (name == "TEST") return test_basin_dataset();
+  return build_dataset(city::city_dataset_spec(city::parse_city_spec(name)));
+}
+
+ModelOptions panel_options(int hours, int threads, int block,
+                           HostProfile* prof = nullptr) {
+  ModelOptions opts;
+  opts.hours = hours;
+  opts.host_threads = threads;
+  opts.oversubscribe = true;  // real multi-thread coverage on small hosts
+  opts.kernel.block = block;
+  opts.profile = prof;
+  return opts;
+}
+
+constexpr int kDefaultBlock = kernel::KernelOptions{}.block;
+
+class BalancedPanelSweep
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
+
+TEST_P(BalancedPanelSweep, BitIdenticalAcrossThreadCounts) {
+  const auto [mesh, block] = GetParam();
+  const Dataset ds = panel_sweep_dataset(mesh);
+  // TEST runs two hours, so the second hour's cuts come from work carried
+  // across the hour boundary; one city hour already spans 46 steps.
+  const int hours = mesh == "TEST" ? 2 : 1;
+  HostProfile ref_prof;
+  const ModelRunResult ref =
+      AirshedModel(ds, panel_options(hours, 1, kDefaultBlock, &ref_prof))
+          .run();
+  ASSERT_GT(ref_prof.chem_substeps, 0);
+  for (int threads : {1, 2, 3, 4}) {
+    const std::string at = mesh + " threads=" + std::to_string(threads) +
+                           " block=" + std::to_string(block);
+    HostProfile prof;
+    const ModelRunResult run =
+        AirshedModel(ds, panel_options(hours, threads, block, &prof)).run();
+    EXPECT_EQ(run.outputs.conc, ref.outputs.conc) << at;
+    EXPECT_EQ(run.outputs.pm, ref.outputs.pm) << at;
+    EXPECT_TRUE(run.trace == ref.trace) << at;
+    EXPECT_EQ(prof.chem_substeps, ref_prof.chem_substeps) << at;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MeshesAndCaps, BalancedPanelSweep,
+    ::testing::Combine(::testing::Values(std::string("TEST"),
+                                         std::string("city:seed=2")),
+                       ::testing::Values(1, 7, 64, kDefaultBlock)),
+    [](const ::testing::TestParamInfo<std::tuple<std::string, int>>& p) {
+      const int block = std::get<1>(p.param);
+      return std::string(std::get<0>(p.param) == "TEST" ? "TEST"
+                                                        : "CitySeed2") +
+             "_block" +
+             (block == kDefaultBlock ? std::string("Default")
+                                     : std::to_string(block));
+    });
+
+// A resumed run cuts equal counts on its first step (it has no previous
+// step's work), where the uninterrupted run cuts from the last step of the
+// hour before; the replayed hour must not notice.
+TEST(Integration, PanelCutsResumeFromMidRunCheckpointBitIdentical) {
+  for (const char* mesh : {"TEST", "city:seed=2"}) {
+    const Dataset ds = panel_sweep_dataset(mesh);
+    std::optional<CheckpointRecord> mid;
+    const ModelRunResult ref =
+        AirshedModel(ds, panel_options(2, 1, kDefaultBlock))
+            .run_with_checkpoints([&](const CheckpointRecord& c) {
+              if (c.next_hour == 1) mid = c;
+            });
+    ASSERT_TRUE(mid.has_value()) << mesh;
+    ASSERT_EQ(ref.trace.hours.size(), 2u) << mesh;
+    for (const auto& [threads, block] :
+         {std::pair{1, kDefaultBlock}, std::pair{3, 7},
+          std::pair{4, kDefaultBlock}}) {
+      const std::string at = std::string(mesh) +
+                             " threads=" + std::to_string(threads) +
+                             " block=" + std::to_string(block);
+      const ModelRunResult resumed =
+          AirshedModel(ds, panel_options(2, threads, block)).resume(*mid);
+      EXPECT_EQ(resumed.outputs.conc, ref.outputs.conc) << at;
+      EXPECT_EQ(resumed.outputs.pm, ref.outputs.pm) << at;
+      ASSERT_EQ(resumed.trace.hours.size(), 1u) << at;
+      EXPECT_TRUE(resumed.trace.hours[0] == ref.trace.hours[1]) << at;
+    }
+  }
+}
+
+// chem/cut_imbalance is built from flop counts, so it repeats exactly, and
+// on the skewed city mesh the work-balanced cuts beat equal column counts.
+TEST(Integration, CutImbalanceIsDeterministicAndBeatsEqualCounts) {
+  const Dataset ds = panel_sweep_dataset("city:seed=2");
+  constexpr int kThreads = 4;
+  const auto run = [&](HostProfile& prof) {
+    ModelOptions opts;
+    opts.hours = 2;
+    opts.host_threads = kThreads;
+    opts.oversubscribe = true;
+    opts.profile = &prof;
+    return AirshedModel(ds, opts).run();
+  };
+  HostProfile a, b;
+  const ModelRunResult result = run(a);
+  run(b);
+  EXPECT_GT(a.chem_cut_imbalance, 1.0);
+  EXPECT_EQ(a.chem_cut_imbalance, b.chem_cut_imbalance);
+
+  // The same ratio under equal counts, from the run's own column work.
+  double max_sum = 0.0, mean_sum = 0.0;
+  for (const HourTrace& hour : result.trace.hours) {
+    for (const StepTrace& step : hour.steps) {
+      const std::vector<double>& w = step.chem_column_work;
+      double busiest = 0.0, total = 0.0;
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        double part = 0.0;
+        for (std::size_t v = w.size() * t / kThreads;
+             v < w.size() * (t + 1) / kThreads; ++v) {
+          part += w[v];
+        }
+        busiest = std::max(busiest, part);
+        total += part;
+      }
+      max_sum += busiest;
+      mean_sum += total / kThreads;
+    }
+  }
+  const double equal_counts = max_sum / mean_sum;
+  EXPECT_LT(a.chem_cut_imbalance, equal_counts);
+
+  obs::MetricsRegistry registry;
+  record_metrics(registry, a);
+  EXPECT_EQ(registry.gauge("chem/cut_imbalance").value(),
+            a.chem_cut_imbalance);
 }
 
 TEST(Integration, EmissionControlsReduceInertPollutants) {

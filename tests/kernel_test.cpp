@@ -48,6 +48,18 @@ TEST(Kernel, ArenaPointersSurviveGrowth) {
   b[0] = 3.0;
   arena.reset();
   EXPECT_EQ(arena.capacity(), cap);
+
+  // reserve() keeps a single slab that is large enough and replaces one
+  // that is not with a slab of exactly the (lane-rounded) request. At
+  // 64 KiB and up the slab is mapped pages, written end to end here.
+  arena.reserve(cap / 2);
+  EXPECT_EQ(arena.capacity(), cap);
+  arena.reserve(2 * cap + 3);
+  EXPECT_EQ(arena.slabs(), 1u);
+  EXPECT_EQ(arena.capacity(), kernel::padded_lanes(2 * cap + 3));
+  double* c = arena.alloc(2 * cap + 3);
+  for (std::size_t i = 0; i < 2 * cap + 3; ++i) c[i] = 1.0;
+  EXPECT_EQ(arena.capacity(), kernel::padded_lanes(2 * cap + 3));
 }
 
 TEST(Kernel, CellBlockGatherScatterRoundTripAndTailPadding) {
@@ -479,27 +491,34 @@ TEST(Kernel, ToleranceModeStaysWithinRelativeBound) {
 }
 
 TEST(Kernel, IntegrateBlockReusesArenaAcrossCalls) {
+  // The blocked path's scratch is one slab of exactly its footprint — the
+  // rate panel, seven species panels and five lane rows at the panel
+  // stride — allocated by the first call and never grown by later calls,
+  // whatever their width: steady state performs zero heap allocation in
+  // the time loop.
   const Mechanism& m = Mechanism::cb4_condensed();
-  ConcentrationField conc(kSpeciesCount, 1, 32);
-  for (int i = 0; i < 32; ++i) {
+  constexpr int kWidth = 40;
+  ConcentrationField conc(kSpeciesCount, 1, kWidth);
+  for (int i = 0; i < kWidth; ++i) {
     const std::vector<double> cell = lane_state(i);
     for (int s = 0; s < kSpeciesCount; ++s) conc(s, 0, i) = cell[s];
   }
-  const std::vector<double> temps(32, 295.0);
   YoungBorisSolver solver(m);
-  kernel::CellBlock block(kSpeciesCount, 32);
-  std::vector<YoungBorisResult> res(32);
-  block.gather(conc, 0, 0, 32);
-  solver.integrate_block(block, 5.0, temps, 0.5, res);
-  // Repeated calls at the same width must not grow the scratch arena —
-  // steady state performs zero heap allocation in the time loop.
-  // (The arena is private; observable contract: results stay identical
-  // and no crash/regrowth. Run a few more to exercise reset()+reuse.)
-  for (int rep = 0; rep < 3; ++rep) {
-    block.gather(conc, 0, 0, 32);
+  EXPECT_EQ(solver.block_arena().capacity(), 0u);
+  kernel::CellBlock block(kSpeciesCount, kWidth);
+  const std::size_t exact =
+      (m.reaction_count() + 7 * static_cast<std::size_t>(m.species_count()) +
+       5) *
+      block.stride();
+  for (int width : {kWidth, 7, 33, 1, kWidth, kWidth}) {
+    const std::vector<double> temps(static_cast<std::size_t>(width), 295.0);
+    std::vector<YoungBorisResult> res(static_cast<std::size_t>(width));
+    block.gather(conc, 0, 0, width);
     solver.integrate_block(block, 5.0, temps, 0.5, res);
+    EXPECT_EQ(solver.block_arena().slabs(), 1u) << "width=" << width;
+    EXPECT_EQ(solver.block_arena().capacity(), exact) << "width=" << width;
+    for (int i = 0; i < width; ++i) EXPECT_GT(res[i].substeps, 0);
   }
-  for (int i = 0; i < 32; ++i) EXPECT_GT(res[i].substeps, 0);
 }
 
 // ------------------------------------------------------------ rate cache

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <mutex>
 #include <span>
 #include <stdexcept>
@@ -114,6 +115,111 @@ TEST(PerThread, GivesEachThreadItsOwnInstance) {
   scratch[1].push_back(4);
   EXPECT_EQ(scratch[0].size(), 3u);
   EXPECT_EQ(scratch[1].size(), 4u);
+}
+
+// ----------------------------------------------------------- balanced_cuts
+
+/// Cuts are chunk borders: start at 0, end at n, never decrease — so the
+/// parts cover every index of [0, n) exactly once.
+void expect_chunk_borders(const std::vector<std::size_t>& cuts,
+                          std::size_t n, int parts) {
+  ASSERT_EQ(cuts.size(), static_cast<std::size_t>(parts) + 1);
+  EXPECT_EQ(cuts.front(), 0u);
+  EXPECT_EQ(cuts.back(), n);
+  std::vector<int> owners(n, 0);
+  for (std::size_t t = 0; t + 1 < cuts.size(); ++t) {
+    ASSERT_LE(cuts[t], cuts[t + 1]) << "border " << t;
+    for (std::size_t i = cuts[t]; i < cuts[t + 1]; ++i) ++owners[i];
+  }
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(owners[i], 1) << "index " << i;
+}
+
+std::vector<std::size_t> equal_counts(std::size_t n, int parts) {
+  std::vector<std::size_t> cuts;
+  for (int t = 0; t <= parts; ++t) {
+    cuts.push_back(n * static_cast<std::size_t>(t) /
+                   static_cast<std::size_t>(parts));
+  }
+  return cuts;
+}
+
+TEST(BalancedCuts, SplitsAtEqualSharesOfTheWeight) {
+  // Work rising across the range: the cuts crowd towards the heavy end.
+  std::vector<double> w(100);
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    w[i] = 1.0 + static_cast<double>(i);
+  }
+  for (int parts : {1, 2, 3, 4, 7}) {
+    const std::vector<std::size_t> cuts = par::balanced_cuts(w, parts);
+    expect_chunk_borders(cuts, w.size(), parts);
+    if (parts == 1) continue;
+    const double total = 100.0 * 101.0 / 2.0;
+    for (int t = 0; t < parts; ++t) {
+      double part = 0.0;
+      for (std::size_t i = cuts[t]; i < cuts[t + 1]; ++i) part += w[i];
+      // No part strays from its share by more than one column's weight.
+      EXPECT_NEAR(part, total / parts, 100.0) << "parts=" << parts;
+    }
+    EXPECT_GT(cuts[1], cuts[parts] - cuts[parts - 1]) << "parts=" << parts;
+  }
+}
+
+TEST(BalancedCuts, FallsBackToEqualCounts) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> fallbacks = {
+      std::vector<double>(10, 0.0),              // a run's first step
+      {1.0, 2.0, inf, 1.0, 1.0, 1.0, 1.0},       // non-finite
+      {1.0, nan, 1.0, 1.0, 1.0},                 // non-finite
+      {1.0, 1.0, -3.0, 1.0, 1.0, 1.0},           // negative
+      {1e308, 1e308, 1e308, 1e308},              // total overflows
+  };
+  for (const std::vector<double>& w : fallbacks) {
+    for (int parts : {1, 3, 4}) {
+      EXPECT_EQ(par::balanced_cuts(w, parts), equal_counts(w.size(), parts))
+          << "n=" << w.size() << " parts=" << parts;
+    }
+  }
+  const std::vector<double> empty;
+  EXPECT_EQ(par::balanced_cuts(empty, 4), std::vector<std::size_t>(5, 0));
+  // Uniform weights are equal counts too.
+  EXPECT_EQ(par::balanced_cuts(std::vector<double>(12, 2.5), 4),
+            equal_counts(12, 4));
+}
+
+TEST(BalancedCuts, MorePartsThanColumnsLeavesEmptyParts) {
+  const std::vector<double> w = {3.0, 1.0, 2.0};
+  const std::vector<std::size_t> cuts = par::balanced_cuts(w, 8);
+  expect_chunk_borders(cuts, w.size(), 8);
+  EXPECT_EQ(par::balanced_cuts(std::vector<double>(3, 0.0), 8),
+            equal_counts(3, 8));
+}
+
+TEST(BalancedCuts, OneHotColumnGetsAPartOfItsOwn) {
+  std::vector<double> w(40, 1.0);
+  w[17] = 1e6;
+  const std::vector<std::size_t> cuts = par::balanced_cuts(w, 4);
+  expect_chunk_borders(cuts, w.size(), 4);
+  // The busiest part can be no lighter than the hot column; here it is
+  // exactly the hot column, alone.
+  bool alone = false;
+  for (std::size_t t = 0; t < 4; ++t) {
+    alone = alone || (cuts[t] == 17 && cuts[t + 1] == 18);
+  }
+  EXPECT_TRUE(alone);
+}
+
+TEST(BalancedCuts, SameWeightsGiveTheSameCuts) {
+  std::vector<double> w(701);
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    w[i] = 1.0 + std::fmod(static_cast<double>(i) * 0.618, 1.0) * 50.0;
+  }
+  const std::vector<std::size_t> first = par::balanced_cuts(w, 4);
+  expect_chunk_borders(first, w.size(), 4);
+  for (int rep = 0; rep < 5; ++rep) {
+    EXPECT_EQ(par::balanced_cuts(w, 4), first);
+  }
+  EXPECT_THROW(par::balanced_cuts(w, 0), std::exception);
 }
 
 // -------------------------------------------------- model determinism
