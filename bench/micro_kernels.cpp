@@ -23,6 +23,13 @@ std::vector<double> urban_state() {
   return c;
 }
 
+/// Counter that reports wall time per lane (seconds, SI-prefixed) for a
+/// kernel that processes `lanes` cells per iteration.
+benchmark::Counter per_lane(double lanes) {
+  using C = benchmark::Counter;
+  return C(lanes, C::kIsIterationInvariantRate | C::kInvert);
+}
+
 void BM_MechanismProductionLoss(benchmark::State& state) {
   const Mechanism& m = Mechanism::cb4_condensed();
   const std::vector<double> c = urban_state();
@@ -35,8 +42,35 @@ void BM_MechanismProductionLoss(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<long long>(m.reaction_count()));
+  state.counters["per_lane"] = per_lane(1);
 }
 BENCHMARK(BM_MechanismProductionLoss);
+
+// The CB4 lane kernel on a panel of `lanes` cells with a distinct rate
+// column per lane; per_lane is the time per cell, comparable to the scalar
+// call above.
+void BM_ProductionLossBlock(benchmark::State& state) {
+  const Mechanism& m = Mechanism::cb4_condensed();
+  const auto lanes = static_cast<std::size_t>(state.range(0));
+  const std::size_t stride = kernel::padded_lanes(lanes);
+  const std::size_t nr = m.reaction_count();
+  const std::vector<double> cell = urban_state();
+  std::vector<double> c(kSpeciesCount * stride), kp(nr * stride),
+      p(kSpeciesCount * stride), l(kSpeciesCount * stride), k(nr);
+  for (std::size_t i = 0; i < stride; ++i) {
+    for (int s = 0; s < kSpeciesCount; ++s) c[s * stride + i] = cell[s];
+    m.compute_rates(290.0 + 0.1 * static_cast<double>(i), 0.8, k);
+    for (std::size_t r = 0; r < nr; ++r) kp[r * stride + i] = k[r];
+  }
+  for (auto _ : state) {
+    m.production_loss_block(c.data(), kp.data(), p.data(), l.data(), lanes,
+                            stride);
+    benchmark::DoNotOptimize(p.data());
+    benchmark::DoNotOptimize(l.data());
+  }
+  state.counters["per_lane"] = per_lane(static_cast<double>(lanes));
+}
+BENCHMARK(BM_ProductionLossBlock)->Arg(8)->Arg(32)->Arg(200)->ArgName("lanes");
 
 void BM_YoungBorisStep(benchmark::State& state) {
   const double sun = state.range(0) == 0 ? 0.0 : 0.8;

@@ -4,9 +4,12 @@
 // The reaction set is a condensed CB-IV style photochemical mechanism
 // (NOx / O3 photostationary cycle, HOx radical chemistry, carbonyl and
 // aromatic oxidation, PAN and N2O5 reservoirs, isoprene, SO2 oxidation);
-// ~75 reactions over the 35 species in species.hpp. Rates use either
-// Arrhenius form k = A (T/300)^B exp(-C/T) or photolysis form k = J * sun,
-// where `sun` is the meteorology's photolysis factor (0 at night).
+// 77 reactions over the 35 species in species.hpp. Its one source is the
+// constexpr table in cb4_table.hpp: cb4_condensed() is a runtime loop over
+// those rows, and the cell-batched production/loss kernel unrolls the same
+// rows at compile time. Rates use either Arrhenius form
+// k = A (T/300)^B exp(-C/T) or photolysis form k = J * sun, where `sun` is
+// the meteorology's photolysis factor (0 at night).
 //
 // Units: ppm and minutes (k in 1/min or 1/(ppm min)).
 #pragma once
@@ -66,23 +69,25 @@ class Mechanism {
   /// Cell-batched production_loss over an SoA panel of `lanes` cells:
   /// `c`/`p_out`/`l_out` are species-major (kSpeciesCount rows of `stride`
   /// doubles), `k` is reaction-major (reaction_count() rows of `stride`,
-  /// one rate column per lane), `rate_scratch` holds `lanes` doubles. Every
-  /// lane executes exactly the scalar production_loss operation sequence,
-  /// so each output column is bit-identical to a scalar call on that cell.
+  /// one rate column per lane). Every lane executes exactly the scalar
+  /// production_loss operation sequence, so each output column is
+  /// bit-identical to a scalar call on that cell. A mechanism whose
+  /// reactions match the cb4_table.hpp rows runs the compile-time unrolled
+  /// lane kernel; any other mechanism runs the scalar body lane by lane.
   /// The panels must not alias; rows should be kAlign-aligned for speed.
   void production_loss_block(const double* c, const double* k, double* p_out,
                              double* l_out, std::size_t lanes,
-                             std::size_t stride, double* rate_scratch) const;
+                             std::size_t stride) const;
 
-  /// FMA-contracted twin of production_loss_block (same flat tables, same
-  /// per-lane operation sequence, but compiled with -ffp-contract=fast so
+  /// FMA-contracted twin of production_loss_block (same per-lane operation
+  /// sequence, but the lane kernel is compiled with -ffp-contract=fast so
   /// FMA-capable clones fuse mul+add). Backs the tolerance profile of the
   /// blocked Young-Boris solver; NOT bit-identical to the scalar path —
   /// results agree to the documented relative bound (docs/BENCHMARKS.md).
   void production_loss_block_fast(const double* c, const double* k,
                                   double* p_out, double* l_out,
-                                  std::size_t lanes, std::size_t stride,
-                                  double* rate_scratch) const;
+                                  std::size_t lanes,
+                                  std::size_t stride) const;
 
   /// Approximate floating-point work of one production_loss + compute_rates
   /// evaluation; used by the work-trace accounting.
@@ -95,12 +100,22 @@ class Mechanism {
   double sulfur_balance(const Reaction& r) const;
 
  private:
+  /// The scalar production_loss body over strided columns: species i of
+  /// the cell is c[i * stride], rate r is k[r * stride]. stride 1 is the
+  /// scalar oracle; the block fallback calls it once per lane.
+  void production_loss_strided(const double* c, const double* k,
+                               double* p_out, double* l_out,
+                               std::size_t stride) const;
+
   std::vector<Reaction> reactions_;
   double flops_per_eval_ = 0.0;
+  /// True when the reactants and products equal the cb4_table.hpp rows, so
+  /// the block entry points may run the unrolled lane kernel.
+  bool cb4_kernel_ = false;
 
-  // Precompiled flat tables for the hot production/loss loop (built once in
-  // the constructor): reactant indices per reaction (-1 = unary) and a CSR
-  // layout of product (species, coefficient) pairs.
+  // Precompiled flat tables for the scalar production/loss loop (built
+  // once in the constructor): reactant indices per reaction (-1 = unary)
+  // and a CSR layout of product (species, coefficient) pairs.
   std::vector<int> reactant1_, reactant2_;
   std::vector<int> prod_begin_;
   std::vector<int> prod_species_;

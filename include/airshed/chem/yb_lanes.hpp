@@ -58,8 +58,7 @@ struct LaneOps {
   /// Production/loss panel assembly for this profile.
   void (*production_loss)(const Mechanism& mech, const double* c,
                           const double* k, double* p_out, double* l_out,
-                          std::size_t lanes, std::size_t stride,
-                          double* rate_scratch);
+                          std::size_t lanes, std::size_t stride);
   /// Convergence test semantics: metric[i] < eps when false (strict ratio
   /// metric), metric[i] < 0 when true (tolerance slack metric).
   bool metric_is_slack = false;

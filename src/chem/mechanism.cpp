@@ -1,11 +1,42 @@
 #include "airshed/chem/mechanism.hpp"
 
 #include <cmath>
+#include <cstddef>
+#include <utility>
 
+#include "airshed/chem/cb4_table.hpp"
 #include "airshed/kernel/cellblock.hpp"
 #include "airshed/util/error.hpp"
 
 namespace airshed {
+namespace {
+
+/// True when `rs` has the reactants and products of the cb4_table.hpp rows,
+/// in order — everything the compiled lane kernel bakes in. Labels and
+/// rate parameters do not enter production/loss.
+bool matches_cb4_table(const std::vector<Reaction>& rs) {
+  if (rs.size() != cb4::kReactions.size()) return false;
+  for (std::size_t i = 0; i < rs.size(); ++i) {
+    const Reaction& r = rs[i];
+    const cb4::Row& row = cb4::kReactions[i];
+    if (r.reactants.size() != row.n_reactants ||
+        r.products.size() != row.n_products) {
+      return false;
+    }
+    for (std::size_t j = 0; j < row.n_reactants; ++j) {
+      if (r.reactants[j] != row.reactants[j]) return false;
+    }
+    for (std::size_t t = 0; t < row.n_products; ++t) {
+      if (r.products[t].first != row.products[t].species ||
+          r.products[t].second != row.products[t].coef) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 Mechanism::Mechanism(std::vector<Reaction> reactions)
     : reactions_(std::move(reactions)) {
@@ -39,6 +70,7 @@ Mechanism::Mechanism(std::vector<Reaction> reactions)
     }
     prod_begin_.push_back(static_cast<int>(prod_species_.size()));
   }
+  cb4_kernel_ = matches_cb4_table(reactions_);
 }
 
 void Mechanism::compute_rates(double temp_k, double sun,
@@ -68,30 +100,37 @@ void Mechanism::production_loss(std::span<const double> c,
                      p_out.size() == c.size() && l_out.size() == c.size() &&
                      k.size() == reactions_.size(),
                  "production_loss: bad spans");
+  production_loss_strided(c.data(), k.data(), p_out.data(), l_out.data(), 1);
+}
+
+void Mechanism::production_loss_strided(const double* c, const double* k,
+                                        double* p_out, double* l_out,
+                                        std::size_t stride) const {
   constexpr double kTiny = 1e-30;  // floor for negative-product loss terms
 
   for (int s = 0; s < kSpeciesCount; ++s) {
-    p_out[s] = 0.0;
-    l_out[s] = 0.0;
+    p_out[s * stride] = 0.0;
+    l_out[s * stride] = 0.0;
   }
 
   const std::size_t nr = reactions_.size();
   for (std::size_t i = 0; i < nr; ++i) {
-    const int a = reactant1_[i];
-    const int b = reactant2_[i];
+    const std::size_t a = static_cast<std::size_t>(reactant1_[i]) * stride;
+    const double ki = k[i * stride];
     double rate;
-    if (b < 0) {
+    if (reactant2_[i] < 0) {
       // Loss frequency of the single reactant is the rate constant itself.
-      l_out[a] += k[i];
-      rate = k[i] * c[a];
+      l_out[a] += ki;
+      rate = ki * c[a];
     } else {
-      l_out[a] += k[i] * c[b];
-      l_out[b] += k[i] * c[a];
-      rate = k[i] * c[a] * c[b];
+      const std::size_t b = static_cast<std::size_t>(reactant2_[i]) * stride;
+      l_out[a] += ki * c[b];
+      l_out[b] += ki * c[a];
+      rate = ki * c[a] * c[b];
     }
     const int pe = prod_begin_[i + 1];
     for (int t = prod_begin_[i]; t < pe; ++t) {
-      const int s = prod_species_[t];
+      const std::size_t s = static_cast<std::size_t>(prod_species_[t]) * stride;
       const double coef = prod_coef_[t];
       if (coef >= 0.0) {
         p_out[s] += coef * rate;
@@ -106,22 +145,25 @@ void Mechanism::production_loss(std::span<const double> c,
 
 namespace {
 
-// Lane-dense production/loss body, shared with the FMA-contracted twin in
-// yb_lanes_fast.cpp (see pl_lanes.inl). This TU compiles it with the
-// kernel strict flags, so every clone is bit-identical to the scalar path.
+// The CB4 lane kernel, compiled here with the kernel strict flags so every
+// clone is bit-identical to the scalar path (see pl_lanes.inl).
 #include "pl_lanes.inl"
 
 }  // namespace
 
 void Mechanism::production_loss_block(const double* c, const double* k,
                                       double* p_out, double* l_out,
-                                      std::size_t lanes, std::size_t stride,
-                                      double* rate_scratch) const {
+                                      std::size_t lanes,
+                                      std::size_t stride) const {
   AIRSHED_ASSERT(lanes >= 1 && lanes <= stride,
                  "production_loss_block: bad lane count");
-  pl_block_lanes(c, k, p_out, l_out, lanes, stride, rate_scratch,
-                 reactions_.size(), reactant1_.data(), reactant2_.data(),
-                 prod_begin_.data(), prod_species_.data(), prod_coef_.data());
+  if (cb4_kernel_) {
+    pl_cb4_lanes(c, k, p_out, l_out, lanes, stride);
+    return;
+  }
+  for (std::size_t j = 0; j < lanes; ++j) {
+    production_loss_strided(c + j, k + j, p_out + j, l_out + j, stride);
+  }
 }
 
 double Mechanism::nitrogen_balance(const Reaction& r) const {
@@ -140,11 +182,9 @@ double Mechanism::sulfur_balance(const Reaction& r) const {
 
 namespace {
 
-using S = Species;
-
 /// Arrhenius coefficient anchored at 298 K: k(298) = k298, activation
 /// temperature c; so a = k298 * exp(c / 298).
-RateCoeff arr298(double k298, double c = 0.0, double b = 0.0) {
+RateCoeff arr298(double k298, double c, double b) {
   RateCoeff rc;
   rc.kind = RateCoeff::Kind::Arrhenius;
   rc.c = c;
@@ -160,195 +200,23 @@ RateCoeff phot(double j_noon) {
   return rc;
 }
 
-using Prod = std::vector<std::pair<S, double>>;
-
-Reaction rxn(std::string label, std::vector<S> reactants, Prod products,
-             RateCoeff rate) {
-  Reaction r;
-  r.label = std::move(label);
-  r.reactants = std::move(reactants);
-  r.products = std::move(products);
-  r.rate = rate;
-  return r;
-}
-
 std::vector<Reaction> build_cb4_condensed() {
   std::vector<Reaction> rs;
-  rs.reserve(80);
-
-  // --- Inorganic NOx / O3 / HOx core -----------------------------------
-  rs.push_back(rxn("NO2_hv", {S::NO2}, {{S::NO, 1}, {S::O, 1}}, phot(0.533)));
-  rs.push_back(rxn("O_O2_M", {S::O}, {{S::O3, 1}}, arr298(4.2e6, -1175)));
-  rs.push_back(rxn("O3_NO", {S::O3, S::NO}, {{S::NO2, 1}}, arr298(26.6, 1370)));
-  rs.push_back(rxn("O_NO2_a", {S::O, S::NO2}, {{S::NO, 1}}, arr298(1.37e4)));
-  rs.push_back(rxn("O_NO2_b", {S::O, S::NO2}, {{S::NO3, 1}}, arr298(2.31e3, -687)));
-  rs.push_back(rxn("O_NO", {S::O, S::NO}, {{S::NO2, 1}}, arr298(2.44e3, -602)));
-  rs.push_back(rxn("NO2_O3", {S::NO2, S::O3}, {{S::NO3, 1}}, arr298(4.77e-2, 2450)));
-  rs.push_back(rxn("O3_hv_O", {S::O3}, {{S::O, 1}}, phot(2.0e-2)));
-  rs.push_back(rxn("O3_hv_O1D", {S::O3}, {{S::O1D, 1}}, phot(2.6e-3)));
-  rs.push_back(rxn("O1D_M", {S::O1D}, {{S::O, 1}}, arr298(4.5e9)));
-  rs.push_back(rxn("O1D_H2O", {S::O1D}, {{S::OH, 2}}, arr298(5.1e8)));
-  rs.push_back(rxn("O3_OH", {S::O3, S::OH}, {{S::HO2, 1}}, arr298(1.0e2, 940)));
-  rs.push_back(rxn("O3_HO2", {S::O3, S::HO2}, {{S::OH, 1}}, arr298(3.0, 580)));
-
-  // --- NO3 / N2O5 night chemistry ---------------------------------------
-  rs.push_back(rxn("NO3_hv", {S::NO3},
-                   {{S::NO2, 0.89}, {S::O, 0.89}, {S::NO, 0.11}}, phot(33.9)));
-  rs.push_back(rxn("NO3_NO", {S::NO3, S::NO}, {{S::NO2, 2}}, arr298(4.42e4, -250)));
-  rs.push_back(rxn("NO3_NO2_a", {S::NO3, S::NO2},
-                   {{S::NO, 1}, {S::NO2, 1}}, arr298(0.59, 1230)));
-  rs.push_back(rxn("NO3_NO2_b", {S::NO3, S::NO2}, {{S::N2O5, 1}},
-                   arr298(1.85e3, -256)));
-  rs.push_back(rxn("N2O5_H2O", {S::N2O5}, {{S::HNO3, 2}}, arr298(3.8e-2)));
-  rs.push_back(rxn("N2O5_decomp", {S::N2O5}, {{S::NO3, 1}, {S::NO2, 1}},
-                   arr298(2.76, 10897)));
-
-  // --- HONO / HNO3 / PNA -------------------------------------------------
-  rs.push_back(rxn("OH_NO", {S::OH, S::NO}, {{S::HONO, 1}}, arr298(9.8e3, -806)));
-  rs.push_back(rxn("HONO_hv", {S::HONO}, {{S::OH, 1}, {S::NO, 1}}, phot(0.18)));
-  rs.push_back(rxn("OH_HONO", {S::OH, S::HONO}, {{S::NO2, 1}}, arr298(9.77e3)));
-  rs.push_back(rxn("OH_NO2", {S::OH, S::NO2}, {{S::HNO3, 1}}, arr298(1.68e4, -560)));
-  rs.push_back(rxn("OH_HNO3", {S::OH, S::HNO3}, {{S::NO3, 1}}, arr298(2.18e2, -778)));
-  rs.push_back(rxn("HO2_NO", {S::HO2, S::NO}, {{S::OH, 1}, {S::NO2, 1}},
-                   arr298(1.23e4, -240)));
-  rs.push_back(rxn("HO2_NO2", {S::HO2, S::NO2}, {{S::PNA, 1}},
-                   arr298(2.08e3, -749)));
-  rs.push_back(rxn("PNA_decomp", {S::PNA}, {{S::HO2, 1}, {S::NO2, 1}},
-                   arr298(5.1, 10121)));
-  rs.push_back(rxn("OH_PNA", {S::OH, S::PNA}, {{S::NO2, 1}}, arr298(6.83e3, -380)));
-
-  // --- Peroxide ----------------------------------------------------------
-  rs.push_back(rxn("HO2_HO2", {S::HO2, S::HO2}, {{S::H2O2, 1}},
-                   arr298(4.14e3, -1150)));
-  rs.push_back(rxn("H2O2_hv", {S::H2O2}, {{S::OH, 2}}, phot(1.0e-3)));
-  rs.push_back(rxn("OH_H2O2", {S::OH, S::H2O2}, {{S::HO2, 1}}, arr298(2.52e3, 187)));
-
-  // --- CO / formaldehyde / acetaldehyde / PAN ----------------------------
-  rs.push_back(rxn("OH_CO", {S::OH, S::CO}, {{S::HO2, 1}}, arr298(3.22e2)));
-  rs.push_back(rxn("FORM_OH", {S::FORM, S::OH}, {{S::HO2, 1}, {S::CO, 1}},
-                   arr298(1.5e4)));
-  rs.push_back(rxn("FORM_hv_rad", {S::FORM}, {{S::HO2, 2}, {S::CO, 1}},
-                   phot(2.9e-3)));
-  rs.push_back(rxn("FORM_hv_mol", {S::FORM}, {{S::CO, 1}}, phot(6.5e-3)));
-  rs.push_back(rxn("FORM_O", {S::FORM, S::O},
-                   {{S::OH, 1}, {S::HO2, 1}, {S::CO, 1}}, arr298(2.37e2, 1550)));
-  rs.push_back(rxn("FORM_NO3", {S::FORM, S::NO3},
-                   {{S::HNO3, 1}, {S::HO2, 1}, {S::CO, 1}}, arr298(0.93)));
-  rs.push_back(rxn("ALD2_O", {S::ALD2, S::O}, {{S::C2O3, 1}, {S::OH, 1}},
-                   arr298(6.36e2, 986)));
-  rs.push_back(rxn("ALD2_OH", {S::ALD2, S::OH}, {{S::C2O3, 1}},
-                   arr298(2.4e4, -250)));
-  rs.push_back(rxn("ALD2_NO3", {S::ALD2, S::NO3}, {{S::C2O3, 1}, {S::HNO3, 1}},
-                   arr298(3.7)));
-  rs.push_back(rxn("ALD2_hv", {S::ALD2},
-                   {{S::FORM, 1}, {S::HO2, 2}, {S::CO, 1}, {S::XO2, 1}},
-                   phot(6.0e-4)));
-  rs.push_back(rxn("C2O3_NO", {S::C2O3, S::NO},
-                   {{S::NO2, 1}, {S::XO2, 1}, {S::FORM, 1}, {S::HO2, 1}},
-                   arr298(1.6e4, -180)));
-  rs.push_back(rxn("C2O3_NO2", {S::C2O3, S::NO2}, {{S::PAN, 1}},
-                   arr298(8.4e3, -380)));
-  rs.push_back(rxn("PAN_decomp", {S::PAN}, {{S::C2O3, 1}, {S::NO2, 1}},
-                   arr298(2.2e-2, 13500)));
-  rs.push_back(rxn("C2O3_C2O3", {S::C2O3, S::C2O3},
-                   {{S::FORM, 2}, {S::XO2, 2}, {S::HO2, 2}}, arr298(3.7e3)));
-  rs.push_back(rxn("C2O3_HO2", {S::C2O3, S::HO2},
-                   {{S::FORM, 0.79}, {S::XO2, 0.79}, {S::HO2, 0.79}, {S::OH, 0.79}},
-                   arr298(9.6e3)));
-  rs.push_back(rxn("OH_CH4", {S::OH}, {{S::FORM, 1}, {S::XO2, 1}, {S::HO2, 1}},
-                   arr298(11.6, 1710)));
-
-  // --- Paraffin / olefin / ethene chemistry -------------------------------
-  rs.push_back(rxn("PAR_OH", {S::PAR, S::OH},
-                   {{S::XO2, 0.87}, {S::XO2N, 0.13}, {S::HO2, 0.11},
-                    {S::ALD2, 0.11}, {S::ROR, 0.76}, {S::PAR, -0.11}},
-                   arr298(1.2e3)));
-  rs.push_back(rxn("ROR_decomp", {S::ROR},
-                   {{S::ALD2, 1.1}, {S::XO2, 0.96}, {S::HO2, 0.94},
-                    {S::XO2N, 0.04}, {S::PAR, -2.1}},
-                   arr298(6.0e4, 8000)));
-  rs.push_back(rxn("ROR_O2", {S::ROR}, {{S::HO2, 1}}, arr298(9.6e3)));
-  rs.push_back(rxn("ROR_NO2", {S::ROR, S::NO2}, {{S::NTR, 1}}, arr298(2.2e4)));
-  rs.push_back(rxn("O_OLE", {S::O, S::OLE},
-                   {{S::ALD2, 0.63}, {S::HO2, 0.38}, {S::XO2, 0.28},
-                    {S::CO, 0.3}, {S::FORM, 0.2}, {S::XO2N, 0.02},
-                    {S::PAR, 0.22}, {S::OH, 0.2}},
-                   arr298(5.92e3, 324)));
-  rs.push_back(rxn("OH_OLE", {S::OH, S::OLE},
-                   {{S::FORM, 1}, {S::ALD2, 1}, {S::XO2, 1}, {S::HO2, 1},
-                    {S::PAR, -1}},
-                   arr298(4.2e4, -504)));
-  rs.push_back(rxn("O3_OLE", {S::O3, S::OLE},
-                   {{S::ALD2, 0.5}, {S::FORM, 0.74}, {S::CO, 0.33},
-                    {S::HO2, 0.44}, {S::XO2, 0.22}, {S::OH, 0.1},
-                    {S::PAR, -1}},
-                   arr298(1.8e-2, 2105)));
-  rs.push_back(rxn("NO3_OLE", {S::NO3, S::OLE},
-                   {{S::XO2, 0.91}, {S::FORM, 1}, {S::ALD2, 1},
-                    {S::XO2N, 0.09}, {S::NO2, 1}, {S::PAR, -1}},
-                   arr298(11.35)));
-  rs.push_back(rxn("O_ETH", {S::O, S::ETH},
-                   {{S::FORM, 1}, {S::XO2, 0.7}, {S::CO, 1}, {S::HO2, 1.7},
-                    {S::OH, 0.3}},
-                   arr298(1.08e3, 792)));
-  rs.push_back(rxn("OH_ETH", {S::OH, S::ETH},
-                   {{S::XO2, 1}, {S::FORM, 1.56}, {S::ALD2, 0.22}, {S::HO2, 1}},
-                   arr298(1.19e4, -411)));
-  rs.push_back(rxn("O3_ETH", {S::O3, S::ETH},
-                   {{S::FORM, 1}, {S::CO, 0.42}, {S::HO2, 0.12}},
-                   arr298(2.7e-3, 2633)));
-
-  // --- Aromatics ----------------------------------------------------------
-  rs.push_back(rxn("TOL_OH", {S::TOL, S::OH},
-                   {{S::XO2, 0.08}, {S::CRES, 0.36}, {S::HO2, 0.44},
-                    {S::TO2, 0.56}},
-                   arr298(9.15e3, -322)));
-  rs.push_back(rxn("TO2_NO", {S::TO2, S::NO},
-                   {{S::NO2, 0.9}, {S::HO2, 0.9}, {S::MGLY, 0.9}, {S::NTR, 0.1}},
-                   arr298(1.2e4)));
-  rs.push_back(rxn("TO2_decomp", {S::TO2}, {{S::CRES, 1}, {S::HO2, 1}},
-                   arr298(2.5e2)));
-  rs.push_back(rxn("OH_CRES", {S::OH, S::CRES},
-                   {{S::CRO, 0.4}, {S::XO2, 0.6}, {S::HO2, 0.6}, {S::MGLY, 0.3}},
-                   arr298(6.1e4)));
-  rs.push_back(rxn("NO3_CRES", {S::NO3, S::CRES}, {{S::CRO, 1}, {S::HNO3, 1}},
-                   arr298(3.25e4)));
-  rs.push_back(rxn("CRO_NO2", {S::CRO, S::NO2}, {{S::NTR, 1}}, arr298(2.0e4)));
-  rs.push_back(rxn("XYL_OH", {S::XYL, S::OH},
-                   {{S::HO2, 0.7}, {S::XO2, 0.5}, {S::CRES, 0.2},
-                    {S::MGLY, 0.8}, {S::TO2, 0.3}},
-                   arr298(3.62e4, -116)));
-  rs.push_back(rxn("MGLY_OH", {S::MGLY, S::OH}, {{S::XO2, 1}, {S::C2O3, 1}},
-                   arr298(2.6e4)));
-  rs.push_back(rxn("MGLY_hv", {S::MGLY}, {{S::C2O3, 1}, {S::HO2, 1}, {S::CO, 1}},
-                   phot(1.2e-2)));
-
-  // --- Isoprene -----------------------------------------------------------
-  rs.push_back(rxn("O_ISOP", {S::O, S::ISOP},
-                   {{S::HO2, 0.6}, {S::ALD2, 0.8}, {S::OLE, 0.55}, {S::XO2, 0.5}},
-                   arr298(2.7e4)));
-  rs.push_back(rxn("OH_ISOP", {S::OH, S::ISOP},
-                   {{S::XO2, 1}, {S::FORM, 1}, {S::HO2, 0.67}, {S::MGLY, 0.4},
-                    {S::C2O3, 0.2}, {S::ETH, 0.2}},
-                   arr298(1.42e5)));
-  rs.push_back(rxn("O3_ISOP", {S::O3, S::ISOP},
-                   {{S::FORM, 1}, {S::ALD2, 0.4}, {S::ETH, 0.55},
-                    {S::MGLY, 0.2}, {S::CO, 0.06}, {S::PAR, 0.1}},
-                   arr298(1.8e-2)));
-  rs.push_back(rxn("NO3_ISOP", {S::NO3, S::ISOP}, {{S::NTR, 1}, {S::XO2, 1}},
-                   arr298(47.0)));
-
-  // --- Operator radicals ---------------------------------------------------
-  rs.push_back(rxn("XO2_NO", {S::XO2, S::NO}, {{S::NO2, 1}}, arr298(1.2e4)));
-  rs.push_back(rxn("XO2_XO2", {S::XO2, S::XO2}, {}, arr298(2.4e3, -1300)));
-  rs.push_back(rxn("XO2N_NO", {S::XO2N, S::NO}, {{S::NTR, 1}}, arr298(1.0e3)));
-  rs.push_back(rxn("XO2_HO2", {S::XO2, S::HO2}, {}, arr298(9.6e3, -1300)));
-
-  // --- Sulfur --------------------------------------------------------------
-  rs.push_back(rxn("SO2_OH", {S::SO2, S::OH}, {{S::SULF, 1}, {S::HO2, 1}},
-                   arr298(1.5e3)));
-  rs.push_back(rxn("SO2_het", {S::SO2}, {{S::SULF, 1}}, arr298(8.0e-4)));
-
+  rs.reserve(cb4::kReactions.size());
+  for (const cb4::Row& row : cb4::kReactions) {
+    Reaction r;
+    r.label = std::string(row.label);
+    r.reactants.assign(row.reactants.begin(),
+                       row.reactants.begin() + row.n_reactants);
+    for (std::size_t t = 0; t < row.n_products; ++t) {
+      r.products.emplace_back(row.products[t].species, row.products[t].coef);
+    }
+    const cb4::RateParams& rp = row.rate;
+    r.rate = rp.kind == RateCoeff::Kind::Photolysis
+                 ? phot(rp.j_noon)
+                 : arr298(rp.k298, rp.c, rp.b);
+    rs.push_back(std::move(r));
+  }
   return rs;
 }
 

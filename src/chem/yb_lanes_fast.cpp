@@ -8,12 +8,14 @@
 // documented relative bound but are not bit-identical to the scalar
 // oracle, and may differ between machines that dispatch different clones.
 // This TU also defines Mechanism::production_loss_block_fast — the
-// contracted twin of production_loss_block over the same flat tables.
+// contracted twin of production_loss_block over the same CB4 lane kernel.
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <utility>
 
+#include "airshed/chem/cb4_table.hpp"
 #include "airshed/chem/mechanism.hpp"
 #include "airshed/chem/yb_lanes.hpp"
 #include "airshed/kernel/cellblock.hpp"
@@ -29,9 +31,8 @@ namespace {
 
 void production_loss(const Mechanism& mech, const double* c, const double* k,
                      double* p_out, double* l_out, std::size_t lanes,
-                     std::size_t stride, double* rate_scratch) {
-  mech.production_loss_block_fast(c, k, p_out, l_out, lanes, stride,
-                                  rate_scratch);
+                     std::size_t stride) {
+  mech.production_loss_block_fast(c, k, p_out, l_out, lanes, stride);
 }
 
 }  // namespace
@@ -39,13 +40,14 @@ void production_loss(const Mechanism& mech, const double* c, const double* k,
 void Mechanism::production_loss_block_fast(const double* c, const double* k,
                                            double* p_out, double* l_out,
                                            std::size_t lanes,
-                                           std::size_t stride,
-                                           double* rate_scratch) const {
+                                           std::size_t stride) const {
   AIRSHED_ASSERT(lanes >= 1 && lanes <= stride,
                  "production_loss_block_fast: bad lane count");
-  pl_block_lanes(c, k, p_out, l_out, lanes, stride, rate_scratch,
-                 reactions_.size(), reactant1_.data(), reactant2_.data(),
-                 prod_begin_.data(), prod_species_.data(), prod_coef_.data());
+  if (cb4_kernel_) {
+    pl_cb4_lanes(c, k, p_out, l_out, lanes, stride);
+  } else {
+    production_loss_block(c, k, p_out, l_out, lanes, stride);
+  }
 }
 
 namespace yb_detail {

@@ -22,8 +22,8 @@ namespace {
 
 void production_loss(const Mechanism& mech, const double* c, const double* k,
                      double* p_out, double* l_out, std::size_t lanes,
-                     std::size_t stride, double* rate_scratch) {
-  mech.production_loss_block(c, k, p_out, l_out, lanes, stride, rate_scratch);
+                     std::size_t stride) {
+  mech.production_loss_block(c, k, p_out, l_out, lanes, stride);
 }
 
 }  // namespace

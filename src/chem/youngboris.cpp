@@ -328,9 +328,9 @@ void YoungBorisSolver::integrate_block_ops(kernel::CellBlock& cells,
   // masking changes which lanes are *processed*, never what any processed
   // lane computes.
   const std::size_t nr = mech_->reaction_count();
-  // One exact slab: the rate panel, seven species panels and five lane
+  // One exact slab: the rate panel, seven species panels and four lane
   // rows (L is a whole number of lane rounds, so nothing pads).
-  arena_.reserve((nr + 7 * n + 5) * L);
+  arena_.reserve((nr + 7 * n + 4) * L);
   double* kp = arena_.alloc(nr * L);
   double* cw = arena_.alloc(n * L);
   double* p0 = arena_.alloc(n * L);
@@ -339,7 +339,6 @@ void YoungBorisSolver::integrate_block_ops(kernel::CellBlock& cells,
   double* p1 = arena_.alloc(n * L);
   double* l1 = arena_.alloc(n * L);
   double* cp = arena_.alloc(n * L);
-  double* rate_scr = arena_.alloc(L);
   double* t = arena_.alloc(L);
   double* h = arena_.alloc(L);
   double* maxrel = arena_.alloc(L);
@@ -409,8 +408,7 @@ void YoungBorisSolver::integrate_block_ops(kernel::CellBlock& cells,
     if (!segs_.empty()) {
       for (const kernel::LaneSegment& seg : segs_) {
         ops.production_loss(*mech_, cw + seg.begin, kp + seg.begin,
-                            p0 + seg.begin, l0 + seg.begin, seg.width(), L,
-                            rate_scr + seg.begin);
+                            p0 + seg.begin, l0 + seg.begin, seg.width(), L);
       }
       lane_evals_dense_ +=
           static_cast<long long>(kernel::segment_lanes(segs_));
@@ -443,8 +441,7 @@ void YoungBorisSolver::integrate_block_ops(kernel::CellBlock& cells,
       kernel::segments_where(corr_.data(), 1.0, nact, La, segs_);
       for (const kernel::LaneSegment& seg : segs_) {
         ops.production_loss(*mech_, cp + seg.begin, kp + seg.begin,
-                            p1 + seg.begin, l1 + seg.begin, seg.width(), L,
-                            rate_scr + seg.begin);
+                            p1 + seg.begin, l1 + seg.begin, seg.width(), L);
       }
       lane_evals_dense_ +=
           static_cast<long long>(kernel::segment_lanes(segs_));

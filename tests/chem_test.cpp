@@ -6,6 +6,7 @@
 #include <cmath>
 #include <vector>
 
+#include "airshed/chem/cb4_table.hpp"
 #include "airshed/chem/mechanism.hpp"
 #include "airshed/chem/reference.hpp"
 #include "airshed/chem/species.hpp"
@@ -104,6 +105,34 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(
           Mechanism::cb4_condensed().reactions()[info.param].label);
     });
+
+TEST(Mechanism, Cb4CondensedEqualsConstexprTableRowByRow) {
+  // The compiled lane kernel unrolls cb4::kReactions; the mechanism every
+  // model runs must be exactly those rows, in order.
+  const Mechanism& m = Mechanism::cb4_condensed();
+  ASSERT_EQ(m.reaction_count(), cb4::kReactions.size());
+  for (std::size_t i = 0; i < cb4::kReactions.size(); ++i) {
+    const Reaction& r = m.reactions()[i];
+    const cb4::Row& row = cb4::kReactions[i];
+    EXPECT_EQ(r.label, row.label) << "row " << i;
+    ASSERT_EQ(r.reactants.size(), row.n_reactants) << r.label;
+    for (std::size_t j = 0; j < row.n_reactants; ++j) {
+      EXPECT_EQ(r.reactants[j], row.reactants[j]) << r.label;
+    }
+    ASSERT_EQ(r.products.size(), row.n_products) << r.label;
+    for (std::size_t t = 0; t < row.n_products; ++t) {
+      EXPECT_EQ(r.products[t].first, row.products[t].species) << r.label;
+      EXPECT_EQ(r.products[t].second, row.products[t].coef) << r.label;
+    }
+    EXPECT_EQ(r.rate.kind, row.rate.kind) << r.label;
+    if (row.rate.kind == RateCoeff::Kind::Photolysis) {
+      EXPECT_EQ(r.rate.j, row.rate.j_noon) << r.label;
+    } else {
+      EXPECT_EQ(r.rate.b, row.rate.b) << r.label;
+      EXPECT_EQ(r.rate.c, row.rate.c) << r.label;
+    }
+  }
+}
 
 TEST(Mechanism, RatesArePositiveAndPhotolysisIsZeroAtNight) {
   const Mechanism& m = Mechanism::cb4_condensed();

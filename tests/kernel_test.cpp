@@ -129,35 +129,87 @@ std::vector<double> lane_state(int lane) {
   return c;
 }
 
+/// Runs production_loss_block on `width` lanes starting at lane `begin` of
+/// a panel with lane stride `stride` — the offset sub-segment calls that
+/// integrate_block_ops makes — and checks every covered column against a
+/// scalar production_loss on that cell with that lane's own rate column.
+/// Lanes outside the segment must keep their sentinel values.
+using BlockPl = void (Mechanism::*)(const double*, const double*, double*,
+                                    double*, std::size_t, std::size_t) const;
+void expect_block_matches_scalar(
+    const Mechanism& m, std::size_t width, std::size_t begin,
+    std::size_t stride, BlockPl block = &Mechanism::production_loss_block) {
+  const std::size_t nr = m.reaction_count();
+  constexpr double kSentinel = -7.25;
+  std::vector<double> c(kSpeciesCount * stride), kp(nr * stride),
+      p(kSpeciesCount * stride, kSentinel),
+      l(kSpeciesCount * stride, kSentinel);
+  std::vector<double> k(nr);
+  for (std::size_t i = 0; i < stride; ++i) {
+    std::vector<double> cell = lane_state(static_cast<int>(i));
+    // Two lanes put the one negative-product species (PAR) at and below
+    // the 1e-30 floor of the net-consumption branch.
+    if (i == begin + width / 2) cell[index_of(Species::PAR)] = 1e-30;
+    if (i == begin + width - 1) cell[index_of(Species::PAR)] = 0.0;
+    for (int s = 0; s < kSpeciesCount; ++s) c[s * stride + i] = cell[s];
+    // A distinct rate column per lane.
+    m.compute_rates(280.0 + 0.37 * static_cast<double>(i), 0.7, k);
+    for (std::size_t r = 0; r < nr; ++r) kp[r * stride + i] = k[r];
+  }
+  (m.*block)(c.data() + begin, kp.data() + begin, p.data() + begin,
+             l.data() + begin, width, stride);
+
+  std::vector<double> ps(kSpeciesCount), ls(kSpeciesCount),
+      cs(kSpeciesCount);
+  for (std::size_t i = 0; i < stride; ++i) {
+    const bool inside = i >= begin && i < begin + width;
+    for (int s = 0; s < kSpeciesCount; ++s) cs[s] = c[s * stride + i];
+    for (std::size_t r = 0; r < nr; ++r) k[r] = kp[r * stride + i];
+    m.production_loss(cs, k, ps, ls);
+    for (int s = 0; s < kSpeciesCount; ++s) {
+      const double pe = inside ? ps[s] : kSentinel;
+      const double le = inside ? ls[s] : kSentinel;
+      EXPECT_EQ(p[s * stride + i], pe) << "width=" << width << " begin="
+                                       << begin << " lane=" << i
+                                       << " species=" << s;
+      EXPECT_EQ(l[s * stride + i], le) << "width=" << width << " begin="
+                                       << begin << " lane=" << i
+                                       << " species=" << s;
+    }
+  }
+}
+
 TEST(Kernel, ProductionLossBlockMatchesScalarBitwise) {
   const Mechanism& m = Mechanism::cb4_condensed();
-  const std::size_t nr = m.reaction_count();
-  std::vector<double> k(nr);
-  m.compute_rates(298.0, 0.7, k);
+  for (std::size_t width : {1, 5, 7, 8, 9, 16, 33, 200}) {
+    // A whole panel, then aligned and unaligned segments of a wider one.
+    expect_block_matches_scalar(m, width, 0, kernel::padded_lanes(width));
+    const std::size_t wide =
+        kernel::padded_lanes(width + 2 * kernel::kLaneRound);
+    expect_block_matches_scalar(m, width, kernel::kLaneRound, wide);
+    expect_block_matches_scalar(m, width, 3, wide);
+  }
+}
 
-  for (int width : {1, 5, 7, 8, 32}) {
-    const std::size_t stride = kernel::padded_lanes(width);
-    std::vector<double> c(kSpeciesCount * stride), p(kSpeciesCount * stride),
-        l(kSpeciesCount * stride), kp(nr * stride), scratch(stride);
-    for (std::size_t i = 0; i < stride; ++i) {
-      const std::vector<double> cell =
-          lane_state(static_cast<int>(std::min<std::size_t>(i, width - 1)));
-      for (int s = 0; s < kSpeciesCount; ++s) c[s * stride + i] = cell[s];
-      for (std::size_t r = 0; r < nr; ++r) kp[r * stride + i] = k[r];
-    }
-    m.production_loss_block(c.data(), kp.data(), p.data(), l.data(), stride,
-                            stride, scratch.data());
-
-    std::vector<double> ps(kSpeciesCount), ls(kSpeciesCount),
-        cs(kSpeciesCount);
-    for (int i = 0; i < width; ++i) {
-      for (int s = 0; s < kSpeciesCount; ++s) cs[s] = c[s * stride + i];
-      m.production_loss(cs, k, ps, ls);
-      for (int s = 0; s < kSpeciesCount; ++s) {
-        EXPECT_EQ(p[s * stride + i], ps[s])
-            << "width=" << width << " lane=" << i << " species=" << s;
-        EXPECT_EQ(l[s * stride + i], ls[s])
-            << "width=" << width << " lane=" << i << " species=" << s;
+TEST(Kernel, ProductionLossBlockFallbackMatchesScalarBitwise) {
+  // Mechanisms that are not the CB4 table run the scalar body per lane,
+  // through both block entry points.
+  std::vector<Reaction> decay(1);
+  decay[0].label = "decay";
+  decay[0].reactants = {Species::CO};
+  decay[0].rate.a = 0.3;
+  // CB4 without its last reaction: full chemistry, not the compiled table.
+  const auto cb4 = Mechanism::cb4_condensed().reactions();
+  std::vector<Reaction> trimmed(cb4.begin(), cb4.end() - 1);
+  for (auto* rs : {&decay, &trimmed}) {
+    const Mechanism m(*rs);
+    for (BlockPl block : {&Mechanism::production_loss_block,
+                          &Mechanism::production_loss_block_fast}) {
+      for (std::size_t width : {1, 9, 33}) {
+        expect_block_matches_scalar(m, width, 0, kernel::padded_lanes(width),
+                                    block);
+        expect_block_matches_scalar(m, width, kernel::kLaneRound,
+                                    kernel::padded_lanes(width + 16), block);
       }
     }
   }
@@ -492,7 +544,7 @@ TEST(Kernel, ToleranceModeStaysWithinRelativeBound) {
 
 TEST(Kernel, IntegrateBlockReusesArenaAcrossCalls) {
   // The blocked path's scratch is one slab of exactly its footprint — the
-  // rate panel, seven species panels and five lane rows at the panel
+  // rate panel, seven species panels and four lane rows at the panel
   // stride — allocated by the first call and never grown by later calls,
   // whatever their width: steady state performs zero heap allocation in
   // the time loop.
@@ -508,7 +560,7 @@ TEST(Kernel, IntegrateBlockReusesArenaAcrossCalls) {
   kernel::CellBlock block(kSpeciesCount, kWidth);
   const std::size_t exact =
       (m.reaction_count() + 7 * static_cast<std::size_t>(m.species_count()) +
-       5) *
+       4) *
       block.stride();
   for (int width : {kWidth, 7, 33, 1, kWidth, kWidth}) {
     const std::vector<double> temps(static_cast<std::size_t>(width), 295.0);
