@@ -191,6 +191,7 @@ int main(int argc, char** argv) {
   json.key("smoke").value(smoke);
   json.key("hours").value(hours);
   json.key("host_cores").value(cores);
+  bench::host_fingerprint(json);
   json.key("warmup").value(warmup);
   json.key("repeats").value(repeats);
   json.key("default_block").value(kernel::KernelOptions{}.block);

@@ -13,6 +13,10 @@
 #include <string_view>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <airshed/airshed.h>
 
 namespace airshed::bench {
@@ -104,6 +108,49 @@ inline WallStats measure_wall(int warmup, int repeats,
 /// engine's figure of merit: cells = grid points x layers x steps).
 inline double ns_per_cell(double seconds, double cells) {
   return cells > 0.0 ? seconds * 1e9 / cells : 0.0;
+}
+
+/// The cores this process may run on: its CPU affinity mask where the
+/// host reports one, else the hardware concurrency.
+inline int usable_cores() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return n;
+  }
+#endif
+  return par::hardware_threads();
+}
+
+/// The CPU model name from /proc/cpuinfo, or "unknown".
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t first = line.find_first_not_of(" \t", colon + 1);
+    return first == std::string::npos ? "unknown" : line.substr(first);
+  }
+  return "unknown";
+}
+
+/// Writes the `host` object of a BENCH_*.json artifact: the CPU model, the
+/// cores this process may use and the build type it was compiled as, so a
+/// committed number names the machine and build that produced it.
+inline void host_fingerprint(JsonWriter& json) {
+#ifdef AIRSHED_BUILD_TYPE
+  const char* build_type = AIRSHED_BUILD_TYPE;
+#else
+  const char* build_type = "unknown";
+#endif
+  json.key("host").begin_object();
+  json.key("cpu_model").value(cpu_model());
+  json.key("usable_cores").value(usable_cores());
+  json.key("build_type").value(build_type);
+  json.end_object();
 }
 
 /// Writes a bench artifact `BENCH_<name>.json` into the current directory

@@ -187,10 +187,16 @@ class YoungBorisSolver {
   /// integrate_block calls: dense lanes the vector kernels actually
   /// processed (production/loss and corrector passes, padding included)
   /// versus lanes that carried live work. Their ratio is the SIMD lane
-  /// occupancy; the masked-segment scheduling (kernel/lanemask.hpp) keeps
-  /// dense close to live. Exported as chem/lanes/* metrics.
+  /// occupancy. The masked-segment scheduling (kernel/lanemask.hpp) skips
+  /// vector groups with no live lane, and the corrector partition moves
+  /// the still-iterating slots to the front between iterations, so a
+  /// corrector pass sweeps padded_lanes(iterating) lanes. Exported as
+  /// chem/lanes/* metrics.
   long long lane_evals_dense() const { return lane_evals_dense_; }
   long long lane_evals_live() const { return lane_evals_live_; }
+  /// Slot swaps made by the corrector partition (each moves every
+  /// per-slot panel column of two slots): the partition's own cost.
+  long long slot_swaps() const { return slot_swaps_; }
   /// Lockstep engine rounds (one adaptive-substep attempt per live slot).
   long long block_rounds() const { return block_rounds_; }
   /// Accepted chemistry substeps, both paths, over the solver's lifetime.
@@ -258,6 +264,7 @@ class YoungBorisSolver {
   long long rate_cache_evictions_ = 0;
   long long lane_evals_dense_ = 0;
   long long lane_evals_live_ = 0;
+  long long slot_swaps_ = 0;
   long long block_rounds_ = 0;
   long long substeps_total_ = 0;
 };

@@ -65,6 +65,9 @@ struct HostProfile {
   /// Lane-columns that actually held live work. dense/live is the SIMD
   /// occupancy overhead of the lockstep blocked solver.
   long long lane_evals_live = 0;
+  /// Slot swaps of the corrector lane partition (the cost of packing the
+  /// still-iterating lanes into the fewest vector groups).
+  long long slot_swaps = 0;
   long long block_rounds = 0;   ///< lockstep rounds of the blocked solver
   long long chem_substeps = 0;  ///< accepted chemistry substeps (all cells)
   /// Load balance of the chemistry column cuts: the busiest thread's

@@ -318,15 +318,20 @@ void YoungBorisSolver::integrate_block_ops(kernel::CellBlock& cells,
   // arithmetic inside normal floating-point range; they are masked off and
   // never scattered back.
   //
-  // Divergence *within* a round — slots whose P/L is still valid, slots
-  // whose corrector already converged — is handled at vector-group
-  // granularity: the dense production/loss and corrector passes run only
-  // over the kLaneRound-aligned segments that still carry live work
-  // (kernel::segments_where). A skipped lane is left bit-untouched — for
-  // P/L reuse its values are already exactly right, and the in-place
-  // corrector means a frozen lane's state simply stays put — so the
-  // masking changes which lanes are *processed*, never what any processed
-  // lane computes.
+  // Divergence *within* a round is handled two ways. Slots whose P/L is
+  // still valid are skipped at vector-group granularity: the dense P0/L0
+  // pass runs only over the kLaneRound-aligned segments that still carry
+  // live work (kernel::segments_where), and a skipped lane keeps its
+  // exactly right values. Slots whose corrector already converged are
+  // moved out of the way instead: between corrector iterations, when the
+  // live segments cover more lanes than the iterating slots need, a
+  // two-pointer partition swaps the iterating slots into [0, n_corr), so
+  // the corrector passes sweep padded_lanes(n_corr) lanes rather than
+  // every group that still holds one slow lane. A swap moves every
+  // per-slot column (for_each_slot_column) and never changes a value, and
+  // the in-place corrector leaves a frozen lane's state where it is, so
+  // neither the masking nor the partition changes what any lane computes,
+  // only which lanes are processed.
   const std::size_t nr = mech_->reaction_count();
   // One exact slab: the rate panel, seven species panels and four lane
   // rows (L is a whole number of lane rounds, so nothing pads).
@@ -378,6 +383,39 @@ void YoungBorisSolver::integrate_block_ops(kernel::CellBlock& cells,
     slot_lane_[i] = static_cast<int>(i);
   }
   std::size_t nact = w;
+
+  // Every per-slot column of the engine, in one list, so the mid-round
+  // partition and the end-of-round compaction cannot drift apart.
+  // f(col, rows) visits a column of `rows` panel rows (slot s of row r at
+  // col[r * L + s]). The round columns are rebuilt at the start of every
+  // round (predictor, corrector setup, retire), so a move between rounds
+  // skips them; a swap inside the corrector loop must carry them.
+  // maxrel, mc, accept_, p1 and l1 are written before they are read.
+  const auto for_each_slot_column = [&](bool with_round_state, auto&& f) {
+    f(cw, n);
+    f(p0, n);
+    f(l0, n);
+    f(kp, nr);
+    f(t, std::size_t{1});
+    f(h, std::size_t{1});
+    f(plv_.data(), std::size_t{1});
+    f(slot_lane_.data(), std::size_t{1});
+    if (with_round_state) {
+      f(e0, n);
+      f(cp, n);
+      f(iters_.data(), std::size_t{1});
+      f(conv_.data(), std::size_t{1});
+      f(corr_.data(), std::size_t{1});
+      f(active_.data(), std::size_t{1});
+    }
+  };
+  // Copies slot `from`'s carried state into slot `to` (between rounds).
+  const auto copy_slot = [&](std::size_t to, std::size_t from) {
+    for_each_slot_column(false, [&](auto* col, std::size_t rows) {
+      for (std::size_t r = 0; r < rows; ++r)
+        col[r * L + to] = col[r * L + from];
+    });
+  };
 
   const double stiff = opts_.stiff_threshold;
   const double check_floor = opts_.check_floor_ppm;
@@ -437,8 +475,25 @@ void YoungBorisSolver::integrate_block_ops(kernel::CellBlock& cells,
       // Dense P/L of the predicted state and the in-place corrector blend
       // run only over groups that still hold an iterating lane; a group
       // whose lanes all froze keeps its cp columns bit-untouched (exactly
-      // what the freeze blend would have written back).
+      // what the freeze blend would have written back). When that would
+      // sweep a whole group more than the iterating slots fill, partition
+      // them to the front first.
       kernel::segments_where(corr_.data(), 1.0, nact, La, segs_);
+      if (kernel::segment_lanes(segs_) > kernel::padded_lanes(n_corr)) {
+        for (std::size_t lo = 0, hi = nact;;) {
+          while (lo < hi && corr_[lo] != 0.0) ++lo;
+          while (lo < hi && corr_[hi - 1] == 0.0) --hi;
+          if (lo == hi) break;
+          --hi;  // corr_[lo] froze, corr_[hi] iterates: trade places
+          for_each_slot_column(true, [&](auto* col, std::size_t rows) {
+            for (std::size_t r = 0; r < rows; ++r)
+              std::swap(col[r * L + lo], col[r * L + hi]);
+          });
+          ++lo;
+          ++slot_swaps_;
+        }
+        kernel::segments_where(corr_.data(), 1.0, nact, La, segs_);
+      }
       for (const kernel::LaneSegment& seg : segs_) {
         ops.production_loss(*mech_, cp + seg.begin, kp + seg.begin,
                             p1 + seg.begin, l1 + seg.begin, seg.width(), L);
@@ -541,22 +596,10 @@ void YoungBorisSolver::integrate_block_ops(kernel::CellBlock& cells,
             c[sp * L + lane] = cw[sp * L + s];
           continue;
         }
-        if (ns != s) {
-          // p0/l0 move with the slot: a surviving slot in the retry state
-          // (plv_ == 1) reuses them without a dense recompute, so they must
-          // stay that slot's own values after the shift.
-          for (std::size_t sp = 0; sp < n; ++sp) {
-            cw[sp * L + ns] = cw[sp * L + s];
-            p0[sp * L + ns] = p0[sp * L + s];
-            l0[sp * L + ns] = l0[sp * L + s];
-          }
-          for (std::size_t r = 0; r < nr; ++r)
-            kp[r * L + ns] = kp[r * L + s];
-          t[ns] = t[s];
-          h[ns] = h[s];
-          plv_[ns] = plv_[s];
-          slot_lane_[ns] = slot_lane_[s];
-        }
+        // p0/l0 move with the slot: a surviving slot in the retry state
+        // (plv_ == 1) reuses them without a dense recompute, so they must
+        // stay that slot's own values after the shift.
+        if (ns != s) copy_slot(ns, s);
         ++ns;
       }
       nact = ns;
@@ -564,17 +607,7 @@ void YoungBorisSolver::integrate_block_ops(kernel::CellBlock& cells,
         // Refresh padding slots from the last live lane so the next dense
         // round keeps clean values in the tail.
         const std::size_t pad_to = std::min(L, kernel::padded_lanes(nact));
-        for (std::size_t s = nact; s < pad_to; ++s) {
-          for (std::size_t sp = 0; sp < n; ++sp) {
-            cw[sp * L + s] = cw[sp * L + (nact - 1)];
-            p0[sp * L + s] = p0[sp * L + (nact - 1)];
-            l0[sp * L + s] = l0[sp * L + (nact - 1)];
-          }
-          for (std::size_t r = 0; r < nr; ++r)
-            kp[r * L + s] = kp[r * L + (nact - 1)];
-          t[s] = t[nact - 1];
-          h[s] = h[nact - 1];
-        }
+        for (std::size_t s = nact; s < pad_to; ++s) copy_slot(s, nact - 1);
         for (std::size_t s = 0; s < L; ++s)
           active_[s] = s < nact ? 1.0 : 0.0;
       }

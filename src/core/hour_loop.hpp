@@ -95,13 +95,14 @@ struct BoundSolvers {
 /// leaks a previous run's counts into this run.
 struct SolverCounters {
   long long hits = 0, shared = 0, evals = 0, evictions = 0;
-  long long dense = 0, live = 0, rounds = 0, substeps = 0;
+  long long dense = 0, live = 0, swaps = 0, rounds = 0, substeps = 0;
 
   static SolverCounters of(const YoungBorisSolver& yb) {
-    return {yb.rate_cache_hits(), yb.rate_cache_shared_hits(),
-            yb.rate_evals(),      yb.rate_cache_evictions(),
+    return {yb.rate_cache_hits(),  yb.rate_cache_shared_hits(),
+            yb.rate_evals(),       yb.rate_cache_evictions(),
             yb.lane_evals_dense(), yb.lane_evals_live(),
-            yb.block_rounds(),    yb.substeps_total()};
+            yb.slot_swaps(),       yb.block_rounds(),
+            yb.substeps_total()};
   }
 };
 
@@ -393,6 +394,7 @@ ModelRunResult run_hour_loop(Grid& grid, const ModelOptions& opts,
       prof->rate_cache_evictions += now.evictions - was.evictions;
       prof->lane_evals_dense += now.dense - was.dense;
       prof->lane_evals_live += now.live - was.live;
+      prof->slot_swaps += now.swaps - was.swaps;
       prof->block_rounds += now.rounds - was.rounds;
       prof->chem_substeps += now.substeps - was.substeps;
     }

@@ -135,6 +135,8 @@ void record_metrics(obs::MetricsRegistry& registry,
       .inc(profile.lane_evals_dense);
   registry.counter("chem/lanes/live", "lane-columns carrying live work")
       .inc(profile.lane_evals_live);
+  registry.counter("chem/lanes/swaps", "slot swaps of the corrector partition")
+      .inc(profile.slot_swaps);
   registry.counter("chem/block_rounds", "lockstep rounds of blocked solver")
       .inc(profile.block_rounds);
   registry.counter("chem/substeps", "accepted chemistry substeps")

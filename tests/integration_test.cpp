@@ -336,6 +336,27 @@ TEST(Integration, CutImbalanceIsDeterministicAndBeatsEqualCounts) {
             a.chem_cut_imbalance);
 }
 
+// The corrector lane partition can stop working with every output
+// unchanged; only the SIMD lane occupancy shows it. The lane counts are
+// deterministic (they follow the numerics, not the clock), so the floor
+// holds exactly on any host. TEST, 1 h, 1 thread, default panel cap:
+// live / dense is 970768 / 1385272 = 0.7008 without the partition and
+// 970768 / 1041600 = 0.9320 with it; the floor sits between the two.
+TEST(Integration, CorrectorPartitionKeepsLaneOccupancy) {
+  const Dataset ds = test_basin_dataset();
+  HostProfile prof;
+  AirshedModel(ds, panel_options(1, 1, kDefaultBlock, &prof)).run();
+  ASSERT_GT(prof.lane_evals_dense, 0);
+  const double occupancy = static_cast<double>(prof.lane_evals_live) /
+                           static_cast<double>(prof.lane_evals_dense);
+  EXPECT_GT(occupancy, 0.85);
+  EXPECT_GT(prof.slot_swaps, 0);
+
+  obs::MetricsRegistry registry;
+  record_metrics(registry, prof);
+  EXPECT_EQ(registry.counter("chem/lanes/swaps").value(), prof.slot_swaps);
+}
+
 TEST(Integration, EmissionControlsReduceInertPollutants) {
   // The motivating use of Airshed (§2.1): evaluate control strategies.
   // Cutting CO emissions must cut ambient CO (CO is long-lived, so the

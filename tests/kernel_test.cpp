@@ -304,6 +304,75 @@ TEST(Kernel, IntegrateBlockCompactionKeepsBitIdentity) {
   }
 }
 
+/// A panel whose every vector group mixes near-trace and urban cells at
+/// distinct temperatures, so neighbouring lanes converge at different
+/// corrector iterations.
+ConcentrationField mixed_panel(int width, std::vector<double>& temps) {
+  ConcentrationField conc(kSpeciesCount, 1, width);
+  temps.assign(static_cast<std::size_t>(width), 0.0);
+  for (int i = 0; i < width; ++i) {
+    // Urban, near-trace, heavy, dilute and very heavy, cycling by lane.
+    constexpr double kScale[] = {1.0, 1e-3, 4.0, 0.03, 12.0};
+    const std::vector<double> cell = lane_state(i);
+    for (int s = 0; s < kSpeciesCount; ++s) {
+      conc(s, 0, i) = cell[s] * kScale[i % 5];
+    }
+    temps[static_cast<std::size_t>(i)] = 283.0 + 1.3 * (i % 11);
+  }
+  return conc;
+}
+
+// Between corrector iterations the engine swaps the still-iterating slots
+// to the front of the panel. A swap that forgets a per-slot column (state,
+// rates, P0/L0, predictor slope, corrector masks, iteration counts) breaks
+// bit-identity here. The second case caps the corrector at five iterations
+// and raises dt_min, so non-converged lanes and forced dt_min acceptances
+// are partitioned too.
+TEST(Kernel, IntegrateBlockCorrectorPartitionKeepsBitIdentity) {
+  const Mechanism& m = Mechanism::cb4_condensed();
+  YoungBorisOptions capped;
+  capped.max_corrector_iters = 5;
+  capped.dt_min_min = 0.01;
+  for (const YoungBorisOptions& opts : {YoungBorisOptions{}, capped}) {
+    const bool is_capped = opts.max_corrector_iters == 5;
+    for (int width : {9, 16, 33, 64, 200}) {
+      const std::string at = std::string(is_capped ? "capped" : "default") +
+                             " width=" + std::to_string(width);
+      std::vector<double> temps;
+      const ConcentrationField conc = mixed_panel(width, temps);
+      kernel::CellBlock block(kSpeciesCount, width);
+      block.gather(conc, 0, 0, width);
+      YoungBorisSolver blocked(m, opts);
+      std::vector<YoungBorisResult> res(width);
+      blocked.integrate_block(block, 20.0, temps, 0.6, res);
+      EXPECT_GT(blocked.slot_swaps(), 0LL) << at;
+
+      YoungBorisSolver scalar(m, opts);
+      std::vector<double> cell(kSpeciesCount);
+      int nonconverged = 0;
+      for (int i = 0; i < width; ++i) {
+        for (int s = 0; s < kSpeciesCount; ++s) cell[s] = conc(s, 0, i);
+        const YoungBorisResult ref =
+            scalar.integrate(cell, 20.0, temps[i], 0.6);
+        for (int s = 0; s < kSpeciesCount; ++s) {
+          EXPECT_EQ(block.row(s)[i], cell[s])
+              << at << " lane=" << i << " species=" << s;
+        }
+        EXPECT_EQ(res[i].substeps, ref.substeps) << at << " lane=" << i;
+        EXPECT_EQ(res[i].corrector_evals, ref.corrector_evals)
+            << at << " lane=" << i;
+        EXPECT_EQ(res[i].nonconverged_steps, ref.nonconverged_steps)
+            << at << " lane=" << i;
+        EXPECT_EQ(res[i].work_flops, ref.work_flops) << at << " lane=" << i;
+        nonconverged += res[i].nonconverged_steps;
+      }
+      if (is_capped) {
+        EXPECT_GT(nonconverged, 0) << at;
+      }
+    }
+  }
+}
+
 // --------------------------------------- lane masking / SIMD edge cases
 
 TEST(Kernel, LaneSegmentsSkipDeadGroupsAndCoalesce) {
@@ -940,6 +1009,18 @@ TEST(Kernel, JsonWriterKeysKeepInsertionOrder) {
   json.end_array();
   json.end_object();
   EXPECT_EQ(json.str(), "{\"zebra\":1,\"alpha\":[2.5,false]}");
+}
+
+TEST(Kernel, HostFingerprintNamesCpuCoresAndBuildType) {
+  bench::JsonWriter json;
+  json.begin_object();
+  bench::host_fingerprint(json);
+  json.end_object();
+  const std::string s = json.str();
+  EXPECT_EQ(s.rfind("{\"host\":{\"cpu_model\":\"", 0), 0u) << s;
+  EXPECT_NE(s.find(",\"usable_cores\":"), std::string::npos) << s;
+  EXPECT_NE(s.find(",\"build_type\":\""), std::string::npos) << s;
+  EXPECT_GE(bench::usable_cores(), 1);
 }
 
 TEST(Kernel, MeasureWallReportsMedianAndMin) {
